@@ -44,6 +44,35 @@ class ComplexityBench extends SparkSpec {
     }
   }
 
+  test("per stage: the Neighbor List and the GS-PSN Comparison List grow linearly") {
+    // Table 1: the Neighbor List holds one placement per distinct profile
+    // token, O(|P|); GS-PSN stores at most one comparison per (position,
+    // window size), O(|NL|·w_max).
+    val wMax = 20
+    def ms[A](body: => A): (A, Double) = {
+      val t0 = System.nanoTime()
+      val a = body
+      (a, (System.nanoTime() - t0) / 1e6)
+    }
+    val stages = for (scale <- Seq(0.5, 1.0)) yield {
+      val pc = dataset(scale).pc
+      val (nl, nlMs) = ms(NeighborList.build(pc))
+      val (list, listMs) = ms(new GSPSN(pc, nl, wMax).globalComparisons())
+      assert(list.size.toLong <= nl.size.toLong * wMax)
+      (pc.size, nl.size, list.size, nlMs, listMs)
+    }
+    println("=== Table 1 per stage (freebase-like, GS-PSN w_max 20) ===")
+    println(f"${"|P|"}%-7s ${"|NL|"}%-8s ${"list"}%-9s ${"nl.build ms"}%-12s ${"gspsn.list ms"}%-13s")
+    for ((p, nl, list, nlMs, listMs) <- stages)
+      println(f"$p%-7d $nl%-8d $list%-9d $nlMs%-12.1f $listMs%-13.1f")
+    val Seq((_, nl1, list1, _, _), (_, nl2, list2, _, _)) = stages
+    val nlRatio = nl2.toDouble / nl1
+    assert(nlRatio > 1.5 && nlRatio < 2.6, s"NL growth ratio $nlRatio")
+    // list growth relative to |NL|·w_max growth (w_max is fixed)
+    val listRatio = list2.toDouble / list1 / nlRatio
+    assert(listRatio > 0.8 && listRatio < 1.25, s"Comparison List growth over |NL| growth $listRatio")
+  }
+
   test("space: the Profile Index grows linearly with |P|") {
     val piS = repro.blocking.TokenBlockingWorkflow.profileIndex(dataset(0.5).pc)
     val piL = repro.blocking.TokenBlockingWorkflow.profileIndex(dataset(1.0).pc)

@@ -9,26 +9,18 @@ object BlockFiltering {
 
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {
     val pc = bc.pc
-    // blocks of each profile, ordered by (cardinality, key) — smallest first
+    // original block indices ordered by (cardinality, key) — smallest first
+    val keys  = bc.blocks.map(b => (b.cardinality(pc), b.key))
+    val order = bc.blocks.indices.sortBy(keys)
+    // blocks of each profile, smallest first
     val perProfile = scala.collection.mutable.HashMap
       .empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
-    val ordered = bc.blocks.zipWithIndex
-      .sortBy { case (b, _) => (b.cardinality(pc), b.key) }
-    for (((b, bi), _) <- ordered.zipWithIndex; p <- b.profiles)
+    for (bi <- order; p <- bc.blocks(bi).profiles)
       perProfile.getOrElseUpdate(p, scala.collection.mutable.ArrayBuffer.empty[Int]) += bi
-    // profile -> set of retained original block indices
+    // for each original block, the profiles that keep it
     val retained = Array.fill(bc.blocks.size)(scala.collection.mutable.TreeSet.empty[Int])
-    // invert: for each original block, which profiles stay
-    val keepCount = perProfile.map { case (p, bis) =>
-      (p, math.max(1, math.ceil(ratio * bis.size).toInt))
-    }
-    // ordered position of each original block index
-    val rankOf = new Array[Int](bc.blocks.size)
-    for (((_, bi), rank) <- ordered.zipWithIndex) rankOf(bi) = rank
-    for ((p, bis) <- perProfile) {
-      val kept = bis.sortBy(rankOf(_)).take(keepCount(p))
-      kept.foreach(bi => retained(bi) += p)
-    }
+    for ((p, bis) <- perProfile)
+      bis.take(math.max(1, math.ceil(ratio * bis.size).toInt)).foreach(bi => retained(bi) += p)
     val blocks = bc.blocks.zipWithIndex
       .map { case (b, bi) => Block(b.key, retained(bi).toArray) }
       .filter(_.cardinality(pc) > 0)

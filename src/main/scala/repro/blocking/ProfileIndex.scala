@@ -68,8 +68,10 @@ object ProfileIndex {
     */
   def build(bc: BlockCollection): ProfileIndex = {
     val pc: ProfileCollection = bc.pc
-    val ordered = bc.blocks.sortBy(b => (b.cardinality(pc), b.key))
-    val cards   = ordered.iterator.map(_.cardinality(pc)).toArray
+    val keys    = bc.blocks.map(b => (b.cardinality(pc), b.key))
+    val order   = bc.blocks.indices.sortBy(keys)
+    val ordered = order.map(bc.blocks).toVector
+    val cards   = order.iterator.map(keys(_)._1).toArray
     val ids     = Array.fill(pc.size)(new scala.collection.mutable.ArrayBuffer[Int](8))
     for ((b, bi) <- ordered.zipWithIndex; p <- b.profiles) ids(p) += bi
     // ArrayBuffers are filled in ascending bi order, so they are sorted.

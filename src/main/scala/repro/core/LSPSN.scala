@@ -1,73 +1,126 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.immutable
 
-/** Shared window-scan machinery for the weighted Neighbor List methods
-  * (LS-PSN / GS-PSN, Sec. 5.1).
+/** A sorted Comparison List of LS-PSN / GS-PSN, stored as two primitive
+  * arrays: the canonical pairs packed as `i << 32 | j` and their weights,
+  * 16 bytes a stored comparison (against ~40 for a boxed `Comparison` and
+  * its reference). A `Comparison` is built only when an element is read.
+  *
+  * The order is `Comparison.byDescendingWeight`: descending weight in
+  * `java.lang.Double.compare` order, then ascending (i, j).
+  */
+final class ComparisonList private (pairs: Array[Long], weights: Array[Double])
+    extends immutable.IndexedSeq[Comparison] {
+
+  def length: Int = pairs.length
+
+  def apply(k: Int): Comparison = {
+    val p = pairs(k)
+    Comparison((p >>> 32).toInt, p.toInt, weights(k))
+  }
+}
+
+object ComparisonList {
+
+  /** Sort the first `n` (packed pair, weight) entries; pairs must be
+    * distinct. Overwrites `weights`.
+    */
+  private[core] def sorted(pairs: Array[Long], weights: Array[Double], n: Int): ComparisonList = {
+    // Descending weight is ascending negated weight; -(-w) restores w bit
+    // for bit.
+    var k = 0
+    while (k < n) { weights(k) = -weights(k); k += 1 }
+    val (rank, distinct) = RankSort.rank(weights, n)
+    val (sortedPairs, start) = RankSort.sort(rank, distinct.length, pairs)
+    val sortedWeights = new Array[Double](n)
+    var r = 0
+    while (r < distinct.length) {
+      java.util.Arrays.fill(sortedWeights, start(r), start(r + 1), -distinct(r))
+      r += 1
+    }
+    new ComparisonList(sortedPairs, sortedWeights)
+  }
+}
+
+/** The window scan of the weighted Neighbor List methods (Algorithm 1,
+  * Sec. 5.1), shared by LS-PSN (one window size) and GS-PSN (the range
+  * `[1, w_max]`).
   */
 private[core] object WindowScan {
 
-  /** Profiles iterated by the outer loop of Algorithm 1: all profiles for
-    * Dirty ER, only the P1 side for Clean-clean ER (Sec. 5.1.1).
+  /** The sorted Comparison List of the window sizes `[wLo, wHi]`.
+    *
+    * The outer loop runs over all profiles for Dirty ER and only the P1 side
+    * for Clean-clean ER (Sec. 5.1.1). For each profile `i` it counts, over
+    * both directions from every position of `i` (Algorithm 1 lines 8–16),
+    * how often each valid neighbor co-occurs with it — Dirty ER: `j < i`,
+    * so every pair is counted from its larger id only; Clean-clean ER: `j`
+    * on the other source. The counts live in one dense array plus the list
+    * of neighbors touched, reset after each profile. Every counted neighbor
+    * is weighted with the scheme (lines 17–19); the frequencies are summed
+    * over `wHi - wLo + 1` window sizes.
     */
-  def scanIds(pc: ProfileCollection): Vector[Int] = pc.source1Ids
-
-  /** Is `j` a valid neighbor while scanning `i`? Dirty ER requires `j < i`
-    * (each pair counted from the larger id, avoiding double counting);
-    * Clean-clean ER requires `j` to be on the other source.
-    */
-  def validNeighbor(pc: ProfileCollection, i: Int, j: Int): Boolean = pc.erType match {
-    case DirtyEr      => j < i
-    case CleanCleanEr => pc.source(j) != pc.source(i)
-  }
-
-  /** Count, for profile `i`, the co-occurrence frequency of every valid
-    * neighbor over the window sizes `[wLo, wHi]` (both directions from every
-    * position of `i`, as in Algorithm 1 lines 8–16).
-    */
-  def neighborFrequencies(
+  def comparisons(
       pc: ProfileCollection,
       nl: NeighborList,
-      i: Int,
-      wLo: Int,
-      wHi: Int): mutable.LinkedHashMap[Int, Int] = {
-    val freq = mutable.LinkedHashMap.empty[Int, Int]
-    val positions = nl.positionsOf(i)
-    var pi = 0
-    while (pi < positions.length) {
-      val pos = positions(pi)
-      var w = wLo
-      while (w <= wHi) {
-        val after = pos + w
-        if (after < nl.size) {
-          val j = nl.entries(after)
-          if (validNeighbor(pc, i, j)) freq.update(j, freq.getOrElse(j, 0) + 1)
-        }
-        val before = pos - w
-        if (before >= 0) {
-          val k = nl.entries(before)
-          if (validNeighbor(pc, i, k)) freq.update(k, freq.getOrElse(k, 0) + 1)
-        }
-        w += 1
-      }
-      pi += 1
-    }
-    freq
-  }
-
-  /** Weight the counted neighbors of `i` with the scheme and return the
-    * comparisons (Algorithm 1 lines 17–19).
-    */
-  def weighted(
-      nl: NeighborList,
       scheme: NlWeighting,
-      i: Int,
-      freq: mutable.LinkedHashMap[Int, Int],
-      windows: Int): Iterator[Comparison] = {
-    val lenI = nl.positionsOf(i).length
-    freq.iterator.map { case (j, f) =>
-      Comparison.of(i, j, scheme.weight(f, lenI, nl.positionsOf(j).length, windows))
+      wLo: Int,
+      wHi: Int): ComparisonList = {
+    val windows = wHi - wLo + 1
+    val dirty = pc.erType == DirtyEr
+    val entries = nl.entries
+    val count = new Array[Int](pc.size)
+    val touched = new Array[Int](pc.size)
+    // At most one pair per (position, window size).
+    val bound = math.min(Int.MaxValue - 8L, nl.size.toLong * windows).toInt
+    var pairs = new Array[Long](math.min(bound, math.max(16, nl.size)))
+    var weights = new Array[Double](pairs.length)
+    var n = 0
+    for (i <- pc.source1Ids) {
+      val positions = nl.positionsOf(i)
+      val srcI = pc.source(i)
+      var nt = 0
+      var pi = 0
+      while (pi < positions.length) {
+        val pos = positions(pi)
+        var w = wLo
+        while (w <= wHi) {
+          if (pos + w < entries.length) {
+            val j = entries(pos + w)
+            if (if (dirty) j < i else pc.source(j) != srcI) {
+              if (count(j) == 0) { touched(nt) = j; nt += 1 }
+              count(j) += 1
+            }
+          }
+          if (pos - w >= 0) {
+            val j = entries(pos - w)
+            if (if (dirty) j < i else pc.source(j) != srcI) {
+              if (count(j) == 0) { touched(nt) = j; nt += 1 }
+              count(j) += 1
+            }
+          }
+          w += 1
+        }
+        pi += 1
+      }
+      if (n + nt > pairs.length) {
+        val cap = math.min(bound.toLong, math.max(n + nt, pairs.length * 2L)).toInt
+        pairs = java.util.Arrays.copyOf(pairs, cap)
+        weights = java.util.Arrays.copyOf(weights, cap)
+      }
+      val lenI = positions.length
+      var t = 0
+      while (t < nt) {
+        val j = touched(t)
+        pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
+        weights(n) = scheme.weight(count(j), lenI, nl.positionsOf(j).length, windows)
+        count(j) = 0
+        n += 1
+        t += 1
+      }
     }
+    ComparisonList.sorted(pairs, weights, n)
   }
 }
 
@@ -87,10 +140,7 @@ final class LSPSN(
   val name = "LS-PSN"
 
   /** The sorted Comparison List of one window size (Algorithm 1 for w). */
-  def windowComparisons(w: Int): Vector[Comparison] =
-    WindowScan.scanIds(pc).iterator.flatMap { i =>
-      WindowScan.weighted(nl, scheme, i, WindowScan.neighborFrequencies(pc, nl, i, w, w), 1)
-    }.toVector.sorted(Comparison.byDescendingWeight)
+  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, scheme, w, w)
 
   def emissions: Iterator[Comparison] =
     Iterator.from(1).takeWhile(_ < nl.size).flatMap(w => windowComparisons(w).iterator)
@@ -112,7 +162,9 @@ object LSPSN {
   * Comparison List had to be limited to the available memory (80 GB), which
   * truncated its window range and capped its final recall below 20 %. Since
   * every window contributes up to |NL| comparisons, a budget of `c` stored
-  * comparisons bounds the usable window range to ~`c / |NL|`.
+  * comparisons bounds the usable window range to ~`c / |NL|`. The list is a
+  * packed `ComparisonList`, 16 bytes a stored comparison, so `c` stored
+  * comparisons take ~16·`c` bytes of heap.
   */
 final class GSPSN(
     pc: ProfileCollection,
@@ -127,12 +179,7 @@ final class GSPSN(
     math.min(wMax.toLong, math.max(1L, maxComparisons / math.max(1, nl.size))).toInt
 
   /** The single, global Comparison List over windows `[1, effectiveWMax]`. */
-  def globalComparisons(): Vector[Comparison] = {
-    val w = effectiveWMax
-    WindowScan.scanIds(pc).iterator.flatMap { i =>
-      WindowScan.weighted(nl, scheme, i, WindowScan.neighborFrequencies(pc, nl, i, 1, w), w)
-    }.toVector.sorted(Comparison.byDescendingWeight)
-  }
+  def globalComparisons(): ComparisonList = WindowScan.comparisons(pc, nl, scheme, 1, effectiveWMax)
 
   def emissions: Iterator[Comparison] = globalComparisons().iterator
 }

@@ -44,14 +44,49 @@ object NeighborList {
       placements: Seq[(String, Int)],
       nProfiles: Int,
       seed: Int = 42): NeighborList = {
-    val sorted = placements.sortBy { case (k, id) =>
-      (k, MurmurHash3.stringHash(s"$k#$id", seed))
+    // The order of a stable sort on (key, MurmurHash3 of "key#id"): keys are
+    // ranked through a sorted dictionary of the distinct keys, and the
+    // (hash, input position) tie-break packs into one Long, hash · 2^31 +
+    // position.
+    val n = placements.size
+    val ids = new Array[Int](n)
+    val rank = new Array[Int](n)
+    val payload = new Array[Long](n)
+    val dictionary = new java.util.HashMap[String, Integer]
+    val firstSeen = mutable.ArrayBuffer.empty[String]
+    var k = 0
+    for ((key, id) <- placements) {
+      var d = dictionary.get(key)
+      if (d == null) { d = firstSeen.size; dictionary.put(key, d); firstSeen += key }
+      ids(k) = id
+      rank(k) = d // the key's first-seen index, replaced by its rank below
+      payload(k) = (MurmurHash3.stringHash(s"$key#$id", seed).toLong << 31) | k
+      k += 1
     }
-    val entries = sorted.iterator.map(_._2).toArray
-    val keys    = sorted.iterator.map(_._1).toArray
-    val posBuf  = Array.fill(nProfiles)(new mutable.ArrayBuffer[Int](4))
+    val sortedKeys = firstSeen.toArray.sorted
+    val rankOfFirstSeen = new Array[Int](sortedKeys.length)
+    for (r <- sortedKeys.indices) rankOfFirstSeen(dictionary.get(sortedKeys(r))) = r
+    k = 0
+    while (k < n) { rank(k) = rankOfFirstSeen(rank(k)); k += 1 }
+
+    val (order, start) = RankSort.sort(rank, sortedKeys.length, payload)
+    val entries = new Array[Int](n)
+    val keys    = new Array[String](n)
+    for (r <- sortedKeys.indices; pos <- start(r) until start(r + 1)) {
+      entries(pos) = ids((order(pos) & Int.MaxValue).toInt)
+      keys(pos) = sortedKeys(r)
+    }
+    val placed = new Array[Int](nProfiles)
+    entries.foreach(placed(_) += 1)
+    val positionIndex = placed.map(new Array[Int](_))
+    java.util.Arrays.fill(placed, 0)
     var pos = 0
-    while (pos < entries.length) { posBuf(entries(pos)) += pos; pos += 1 }
-    new NeighborList(entries, keys, posBuf.map(_.toArray))
+    while (pos < n) {
+      val id = entries(pos)
+      positionIndex(id)(placed(id)) = pos
+      placed(id) += 1
+      pos += 1
+    }
+    new NeighborList(entries, keys, positionIndex)
   }
 }

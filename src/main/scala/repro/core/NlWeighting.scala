@@ -37,9 +37,3 @@ object Rcf extends NlWeighting {
     if (denom <= 0) freq.toDouble else freq.toDouble / denom
   }
 }
-
-/** Raw co-occurrence frequency — the unnormalized ablation of RCF. */
-object RawCf extends NlWeighting {
-  val name = "CF"
-  def weight(freq: Int, lenI: Int, lenJ: Int, windows: Int): Double = freq.toDouble
-}

@@ -28,11 +28,13 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
     val index = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.TreeSet[Int]]
     for (p <- pc.profiles; tok <- Tokenizer.profileKeys(p); suf <- SAPSAB.suffixes(tok, lMin))
       index.getOrElseUpdate(suf, scala.collection.mutable.TreeSet.empty[Int]) += p.id
-    index.iterator
+    val blocks = index.iterator
       .map { case (s, ids) => SuffixBlock(s, ids.toArray) }
       .filter(b => b.cardinality > 0)
       .toVector
-      .sortBy(b => (-b.suffix.length, b.cardinality, b.suffix))
+    // sort keys computed once: a Clean-clean cardinality counts the block
+    val keys = blocks.map(b => (-b.suffix.length, b.cardinality, b.suffix))
+    blocks.indices.sortBy(keys).map(blocks).toVector
   }
 
   def emissions: Iterator[Comparison] =

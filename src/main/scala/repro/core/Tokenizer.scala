@@ -8,9 +8,11 @@ package repro.core
   */
 object Tokenizer {
 
+  private val NonAlphanumeric = java.util.regex.Pattern.compile("[^a-z0-9]+")
+
   /** Lowercased alphanumeric tokens of one attribute value. */
   def tokens(value: String): Seq[String] =
-    value.toLowerCase.split("[^a-z0-9]+").iterator.filter(_.nonEmpty).toSeq
+    NonAlphanumeric.split(value.toLowerCase).iterator.filter(_.nonEmpty).toSeq
 
   /** Distinct blocking keys of a profile, in first-appearance order.
     *

@@ -35,14 +35,124 @@ class PropertySpec extends SparkSpec {
       }
     }
 
+  /** An attribute value: vocabulary tokens, or punctuation that yields no
+    * token at all.
+    */
+  private val valueGen: Gen[String] = Gen.frequency(
+    5 -> profileGen.map(_.mkString(" ")),
+    1 -> Gen.oneOf("", "--", "?! ;"))
+
+  /** Dirty or Clean-clean ER, |P| from 0, profiles with no tokens included;
+    * the |P| ≤ 1 cases are also listed explicitly.
+    */
+  private val anyCollectionGen: Gen[ProfileCollection] = for {
+    n          <- Gen.choose(0, 12)
+    cleanClean <- Gen.oneOf(false, true)
+    values     <- Gen.listOfN(n, valueGen)
+    sources    <- Gen.listOfN(n, Gen.oneOf(1, 2))
+  } yield ProfileCollection(
+    values.indices.map { i =>
+      Profile(i, if (cleanClean) sources(i) else 0, Vector("v" -> values(i)))
+    }.toVector,
+    if (cleanClean) CleanCleanEr else DirtyEr)
+
+  private val anyCollections: Seq[ProfileCollection] =
+    samples(anyCollectionGen, 60) ++ Seq(
+      ProfileCollection(Vector.empty, DirtyEr),
+      ProfileCollection(Vector.empty, CleanCleanEr),
+      ProfileCollection(Vector(Profile(0, 0, Vector("v" -> "alpha beta"))), DirtyEr),
+      ProfileCollection(Vector(Profile(0, 1, Vector("v" -> "alpha beta"))), CleanCleanEr))
+
+  /** The LS-PSN / GS-PSN window scan as it was before the primitive kernel:
+    * a `LinkedHashMap` of neighbor frequencies per scanned profile, boxed
+    * comparisons, and a sort with the tuple ordering.
+    */
+  private def referenceScan(
+      pc: ProfileCollection,
+      nl: NeighborList,
+      scheme: NlWeighting,
+      wLo: Int,
+      wHi: Int): Vector[Comparison] =
+    pc.source1Ids.iterator.flatMap { i =>
+      val freq = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
+      for (pos <- nl.positionsOf(i); w <- wLo to wHi; at <- Seq(pos + w, pos - w)
+           if at >= 0 && at < nl.size) {
+        val j = nl.entries(at)
+        val valid = pc.erType match {
+          case DirtyEr      => j < i
+          case CleanCleanEr => pc.source(j) != pc.source(i)
+        }
+        if (valid) freq.update(j, freq.getOrElse(j, 0) + 1)
+      }
+      val lenI = nl.positionsOf(i).length
+      freq.iterator.map { case (j, f) =>
+        Comparison.of(i, j, scheme.weight(f, lenI, nl.positionsOf(j).length, wHi - wLo + 1))
+      }
+    }.toVector.sorted(Comparison.byDescendingWeight)
+
+  /** Pairs and raw weight bits, so that -0.0 ≠ 0.0 and NaNs compare. */
+  private def exact(cs: Seq[Comparison]): Seq[(Int, Int, Long)] =
+    cs.map(c => (c.i, c.j, java.lang.Double.doubleToRawLongBits(c.weight)))
+
+  /** A scheme with many ties, signed zeros and NaN, to pin the tie-break
+    * and the `java.lang.Double.compare` order of the weights.
+    */
+  private object EdgeWeights extends NlWeighting {
+    val name = "edge"
+    def weight(freq: Int, lenI: Int, lenJ: Int, windows: Int): Double = (freq + lenI) % 4 match {
+      case 0 => 0.0
+      case 1 => -0.0
+      case 2 => Double.NaN
+      case _ => freq.toDouble
+    }
+  }
+
+  test("LS-PSN windows equal the reference scan, sequence for sequence") {
+    for (pc <- anyCollections; scheme <- Seq(Rcf, EdgeWeights)) {
+      val nl = NeighborList.build(pc)
+      val ls = new LSPSN(pc, nl, scheme)
+      for (w <- 1 to nl.size + 1)
+        assert(exact(ls.windowComparisons(w)) === exact(referenceScan(pc, nl, scheme, w, w)),
+          s"${pc.erType} |P|=${pc.size} ${scheme.name} w=$w")
+    }
+  }
+
+  test("GS-PSN lists equal the reference scan, wMax up to and beyond |NL|") {
+    for (pc <- anyCollections; scheme <- Seq(Rcf, EdgeWeights)) {
+      val nl = NeighborList.build(pc)
+      for (wMax <- Seq(1, 2, 5, nl.size, nl.size + 3).filter(_ >= 1).distinct) {
+        val gs = new GSPSN(pc, nl, wMax, scheme)
+        val expected = exact(referenceScan(pc, nl, scheme, 1, wMax))
+        assert(exact(gs.globalComparisons()) === expected,
+          s"${pc.erType} |P|=${pc.size} ${scheme.name} wMax=$wMax")
+        assert(exact(gs.emissions.toVector) === expected)
+      }
+    }
+  }
+
+  test("the Neighbor List equals a stable sort on (key, seeded hash)") {
+    for (pc <- anyCollections) {
+      val placements = Tokenizer.placements(pc)
+      val nl = NeighborList.fromPlacements(placements, pc.size)
+      val expected = placements.sortBy { case (k, id) =>
+        (k, scala.util.hashing.MurmurHash3.stringHash(s"$k#$id", 42))
+      }
+      assert(nl.entries.toSeq === expected.map(_._2))
+      assert(nl.keys.toSeq === expected.map(_._1))
+      for (i <- 0 until pc.size)
+        assert(nl.positionsOf(i).toSeq === nl.entries.indices.filter(nl.entries(_) == i))
+    }
+  }
+
   private def fullIndex(pc: ProfileCollection): ProfileIndex =
     ProfileIndex.build(TokenBlocking.build(pc))
 
   test("GS-PSN never repeats a comparison") {
-    for (pc <- samples(collectionGen)) {
+    for (pc <- samples(collectionGen) ++ anyCollections) {
       val nl = NeighborList.build(pc)
-      val ps = new GSPSN(pc, nl, wMax = math.max(1, nl.size)).emissions.map(_.pair).toVector
+      val ps = new GSPSN(pc, nl, wMax = nl.size + 1).emissions.map(_.pair).toVector
       assert(ps.distinct.size === ps.size)
+      ps.foreach { case (i, j) => assert(pc.validPair(i, j)) }
     }
   }
 
@@ -73,7 +183,7 @@ class PropertySpec extends SparkSpec {
   }
 
   test("SA-PSN eventually emits every co-occurring pair") {
-    for (pc <- samples(collectionGen)) {
+    for (pc <- samples(collectionGen) ++ anyCollections) {
       val nl = NeighborList.build(pc)
       if (nl.size > 1) {
         val sapsn = new SAPSN(pc, nl).emissions.map(_.pair).toSet
