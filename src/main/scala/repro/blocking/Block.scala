@@ -16,13 +16,7 @@ final case class Block(key: String, profiles: Array[Int]) {
   /** ||b|| — number of comparisons the block yields under the collection's ER
     * type: n(n-1)/2 for Dirty ER, |b∩P1|·|b∩P2| for Clean-clean ER (Sec. 3).
     */
-  def cardinality(pc: ProfileCollection): Long = pc.erType match {
-    case DirtyEr =>
-      size.toLong * (size - 1) / 2
-    case CleanCleanEr =>
-      val n1 = profiles.count(pc.source(_) == 1).toLong
-      n1 * (size - n1)
-  }
+  def cardinality(pc: ProfileCollection): Long = Block.cardinality(pc, profiles, size)
 
   /** The valid comparisons of the block, in deterministic (i, j) order. */
   def pairs(pc: ProfileCollection): Iterator[(Int, Int)] =
@@ -31,6 +25,22 @@ final case class Block(key: String, profiles: Array[Int]) {
         case y if pc.validPair(profiles(x), profiles(y)) => (profiles(x), profiles(y))
       }
     }
+}
+
+object Block {
+
+  /** ||b|| of the block holding the first `n` ids of `profiles`: the one
+    * cardinality definition, shared by every block type.
+    */
+  def cardinality(pc: ProfileCollection, profiles: Array[Int], n: Int): Long = pc.erType match {
+    case DirtyEr =>
+      n.toLong * (n - 1) / 2
+    case CleanCleanEr =>
+      var n1 = 0L
+      var k = 0
+      while (k < n) { if (pc.source(profiles(k)) == 1) n1 += 1; k += 1 }
+      n1 * (n - n1)
+  }
 }
 
 /** An ordered block collection B with aggregate statistics (Sec. 3). */
@@ -45,4 +55,20 @@ final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
   /** Mean block size |b̄|. */
   def meanBlockSize: Double =
     if (blocks.isEmpty) 0.0 else blocks.iterator.map(_.size.toLong).sum.toDouble / blocks.size
+
+  /** Block indices in non-decreasing (cardinality, key), ties in index order
+    * — the smallest-first order of Block Filtering and of the Profile Index —
+    * and every block's cardinality, by index.
+    */
+  def cardinalityOrder: (Array[Int], Array[Long]) = {
+    val cards = new Array[Long](blocks.size)
+    for (k <- cards.indices) cards(k) = blocks(k).cardinality(pc)
+    val order = Array.range(0, blocks.size).sorted(new Ordering[Int] {
+      def compare(a: Int, b: Int): Int = {
+        val c = java.lang.Long.compare(cards(a), cards(b))
+        if (c != 0) c else blocks(a).key.compareTo(blocks(b).key)
+      }
+    })
+    (order, cards)
+  }
 }

@@ -9,21 +9,34 @@ object BlockFiltering {
 
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {
     val pc = bc.pc
-    // original block indices ordered by (cardinality, key) — smallest first
-    val keys  = bc.blocks.map(b => (b.cardinality(pc), b.key))
-    val order = bc.blocks.indices.sortBy(keys)
-    // blocks of each profile, smallest first
-    val perProfile = scala.collection.mutable.HashMap
-      .empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
-    for (bi <- order; p <- bc.blocks(bi).profiles)
-      perProfile.getOrElseUpdate(p, scala.collection.mutable.ArrayBuffer.empty[Int]) += bi
-    // for each original block, the profiles that keep it
-    val retained = Array.fill(bc.blocks.size)(scala.collection.mutable.TreeSet.empty[Int])
-    for ((p, bis) <- perProfile)
-      bis.take(math.max(1, math.ceil(ratio * bis.size).toInt)).foreach(bi => retained(bi) += p)
-    val blocks = bc.blocks.zipWithIndex
-      .map { case (b, bi) => Block(b.key, retained(bi).toArray) }
+    val (order, _) = bc.cardinalityOrder
+    // the blocks of profile p, smallest first:
+    // blocksOf(start(p) until start(p + 1)), as compressed sparse rows
+    val start = new Array[Int](pc.size + 1)
+    for (b <- bc.blocks; p <- b.profiles) start(p + 1) += 1
+    for (p <- 0 until pc.size) start(p + 1) += start(p)
+    val next = java.util.Arrays.copyOf(start, pc.size)
+    val blocksOf = new Array[Int](start(pc.size))
+    for (bi <- order; p <- bc.blocks(bi).profiles) { blocksOf(next(p)) = bi; next(p) += 1 }
+    // each profile keeps the head of its list; fill the blocks in ascending
+    // profile id
+    val keep = Array.tabulate(pc.size) { p =>
+      val n = start(p + 1) - start(p)
+      if (n == 0) 0 else math.max(1, math.ceil(ratio * n).toInt)
+    }
+    val kept = new Array[Int](bc.blocks.size)
+    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) kept(blocksOf(x)) += 1
+    val retained = kept.map(new Array[Int](_))
+    java.util.Arrays.fill(kept, 0)
+    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) {
+      val bi = blocksOf(x)
+      retained(bi)(kept(bi)) = p
+      kept(bi) += 1
+    }
+    val blocks = bc.blocks.indices
+      .map(bi => Block(bc.blocks(bi).key, retained(bi)))
       .filter(_.cardinality(pc) > 0)
+      .toVector
     bc.copy(blocks = blocks)
   }
 }

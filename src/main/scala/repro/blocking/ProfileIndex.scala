@@ -68,13 +68,14 @@ object ProfileIndex {
     */
   def build(bc: BlockCollection): ProfileIndex = {
     val pc: ProfileCollection = bc.pc
-    val keys    = bc.blocks.map(b => (b.cardinality(pc), b.key))
-    val order   = bc.blocks.indices.sortBy(keys)
-    val ordered = order.map(bc.blocks).toVector
-    val cards   = order.iterator.map(keys(_)._1).toArray
-    val ids     = Array.fill(pc.size)(new scala.collection.mutable.ArrayBuffer[Int](8))
-    for ((b, bi) <- ordered.zipWithIndex; p <- b.profiles) ids(p) += bi
-    // ArrayBuffers are filled in ascending bi order, so they are sorted.
-    new ProfileIndex(ordered, cards, ids.map(_.toArray))
+    val (order, cards) = bc.cardinalityOrder
+    val ordered = order.iterator.map(bc.blocks).toVector
+    val count = new Array[Int](pc.size)
+    for (b <- ordered; p <- b.profiles) count(p) += 1
+    val ids = count.map(new Array[Int](_))
+    java.util.Arrays.fill(count, 0)
+    // filled in ascending block id, so every profile's array is sorted
+    for (bi <- ordered.indices; p <- ordered(bi).profiles) { ids(p)(count(p)) = bi; count(p) += 1 }
+    new ProfileIndex(ordered, order.map(cards), ids)
   }
 }

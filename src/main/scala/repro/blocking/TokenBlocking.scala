@@ -1,6 +1,6 @@
 package repro.blocking
 
-import repro.core.{ProfileCollection, Tokenizer}
+import repro.core.ProfileCollection
 
 /** Token Blocking (step 1 of the paper's Token Blocking Workflow, Sec. 7):
   * one block per attribute value token that stems from at least two profiles
@@ -15,15 +15,6 @@ object TokenBlocking {
     * fewer than two profiles for Dirty ER, or all profiles on one source for
     * Clean-clean ER. Blocks are returned in deterministic key order.
     */
-  def build(pc: ProfileCollection): BlockCollection = {
-    val index = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.TreeSet[Int]]
-    for (p <- pc.profiles; tok <- Tokenizer.profileKeys(p))
-      index.getOrElseUpdate(tok, scala.collection.mutable.TreeSet.empty[Int]) += p.id
-    val blocks = index.iterator
-      .map { case (k, ids) => Block(k, ids.toArray) }
-      .filter(_.cardinality(pc) > 0)
-      .toVector
-      .sortBy(_.key)
-    BlockCollection(blocks, pc)
-  }
+  def build(pc: ProfileCollection): BlockCollection =
+    Blocks.fromTokens(pc)(Seq(_))
 }

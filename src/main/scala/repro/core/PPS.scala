@@ -29,46 +29,58 @@ final class PPS(
 
   /** Algorithm 5: duplication likelihoods, Sorted Profile List and the
     * deduplicated set of per-node top comparisons, sorted.
+    *
+    * A profile's duplication likelihood is the sum of its edge weights in the
+    * neighbourhood kernel's first-touch order — ascending block id, then
+    * ascending profile id — divided by its degree. The order fixes the
+    * rounding of the sum, so it depends on the Profile Index alone.
     */
   def initialize(): PPS.Init = {
-    val top = mutable.LinkedHashMap.empty[(Int, Int), Comparison]
-    val likelihood = mutable.ArrayBuffer.empty[(Int, Double)]
+    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex, scheme)
+    val top = mutable.ArrayBuffer.empty[Comparison]
+    val topPairs = mutable.HashSet.empty[Long]
+    val ids = mutable.ArrayBuilder.make[Long]
+    val likelihoods = mutable.ArrayBuilder.make[Double]
     var i = 0
     while (i < pc.size) {
-      val nbrs = BlockingGraph.neighborhood(pc, profileIndex, i, scheme)
-      if (nbrs.nonEmpty) {
+      val n = nb.load(i)
+      if (n > 0) {
         var sum = 0.0
-        var best: Comparison = null
-        for ((j, w) <- nbrs) {
-          sum += w
-          val c = Comparison.of(i, j, w)
-          if (best == null || Comparison.byDescendingWeight.lt(c, best)) best = c
+        var best = 0
+        var k = 0
+        while (k < n) {
+          sum += nb.weight(k)
+          if (PPS.precedes(nb.weight(k), nb.neighbor(k), nb.weight(best), nb.neighbor(best))) best = k
+          k += 1
         }
-        likelihood += ((i, sum / nbrs.size))
-        val prev = top.get(best.pair)
-        if (prev.isEmpty) top.update(best.pair, best)
+        ids += i
+        likelihoods += -(sum / n)
+        val c = Comparison.of(i, nb.neighbor(best), nb.weight(best))
+        if (topPairs.add(PPS.pack(c))) top += c
       }
       i += 1
     }
-    PPS.Init(
-      top.values.toVector.sorted(Comparison.byDescendingWeight),
-      likelihood.sortBy { case (id, dl) => (-dl, id) }.map(_._1).toVector)
+    // the Sorted Profile List: descending likelihood, ties by ascending id
+    val (rank, distinct) = RankSort.rank(likelihoods.result(), ids.length)
+    val (order, _) = RankSort.sort(rank, distinct.length, ids.result())
+    PPS.Init(top.toVector.sorted(Comparison.byDescendingWeight), order.iterator.map(_.toInt).toVector)
   }
 
   def emissions: Iterator[Comparison] = {
     val init = initialize()
-    val emittedAtInit = init.topComparisons.iterator.map(_.pair).toSet
-    val checked = mutable.HashSet.empty[Int]
+    val emittedAtInit = init.topComparisons.iterator.map(PPS.pack).toArray
+    java.util.Arrays.sort(emittedAtInit)
+    val checked = new Array[Boolean](pc.size)
+    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex, scheme)
     init.topComparisons.iterator ++ init.sortedProfileList.iterator.flatMap { i =>
-      checked += i
-      val nbrs = BlockingGraph.neighborhood(pc, profileIndex, i, scheme)
-      nbrs.iterator
-        .collect { case (j, w) if !checked.contains(j) => Comparison.of(i, j, w) }
-        .filterNot(c => emittedAtInit.contains(c.pair))
-        .toVector
-        .sorted(Comparison.byDescendingWeight)
-        .take(kMax)
-        .iterator
+      checked(i) = true
+      val n = nb.load(i)
+      val candidates = mutable.ArrayBuffer.empty[Comparison]
+      for (k <- 0 until n if !checked(nb.neighbor(k))) {
+        val c = Comparison.of(i, nb.neighbor(k), nb.weight(k))
+        if (java.util.Arrays.binarySearch(emittedAtInit, PPS.pack(c)) < 0) candidates += c
+      }
+      candidates.sorted(Comparison.byDescendingWeight).iterator.take(kMax)
     }
   }
 }
@@ -79,4 +91,15 @@ object PPS {
   final case class Init(
       topComparisons: Vector[Comparison],
       sortedProfileList: Vector[Int])
+
+  private def pack(c: Comparison): Long = (c.i.toLong << 32) | c.j
+
+  /** Does edge (i, j) with weight `w` come before edge (i, bj) with weight
+    * `bw` in `Comparison.byDescendingWeight`? For two edges of one node i,
+    * the canonical pairs order as their other ends j and bj do.
+    */
+  private def precedes(w: Double, j: Int, bw: Double, bj: Int): Boolean = {
+    val c = java.lang.Double.compare(-w, -bw)
+    c < 0 || (c == 0 && j < bj)
+  }
 }

@@ -2,9 +2,9 @@ package repro.core
 
 import java.util.Arrays
 
-/** The one sort behind the Neighbor List and the LS-PSN / GS-PSN Comparison
-  * Lists: primitive keys only, no comparator, and a total order, so the
-  * result is fully determined by the input.
+/** The one sort behind the Neighbor List, the LS-PSN / GS-PSN Comparison
+  * Lists and the PPS Sorted Profile List: primitive keys only, no comparator,
+  * and a total order, so the result is fully determined by the input.
   *
   * Each element has a primary key, ranked densely through a sorted
   * dictionary of its distinct values, and a unique `Long` payload that

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.blocking.{Block, Blocks}
+
 /** Schema-Agnostic Progressive Suffix Arrays Blocking (Sec. 4.2) — naïve #2.
   *
   * Every attribute value token of every profile contributes all its suffixes
@@ -18,23 +20,24 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
 
   /** One node of the suffix forest: the suffix and the profiles it indexes. */
   final case class SuffixBlock(suffix: String, profiles: Array[Int]) {
-    def cardinality: Long = SAPSAB.cardinality(pc, profiles)
+    def cardinality: Long = Block.cardinality(pc, profiles, profiles.length)
   }
 
   /** All suffix blocks with at least one executable comparison, in processing
-    * order (leaves of the lowest layer first).
+    * order (leaves of the lowest layer first): the key-ordered suffix blocks,
+    * stable-sorted by (non-increasing length, non-decreasing cardinality).
     */
   lazy val orderedBlocks: Vector[SuffixBlock] = {
-    val index = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.TreeSet[Int]]
-    for (p <- pc.profiles; tok <- Tokenizer.profileKeys(p); suf <- SAPSAB.suffixes(tok, lMin))
-      index.getOrElseUpdate(suf, scala.collection.mutable.TreeSet.empty[Int]) += p.id
-    val blocks = index.iterator
-      .map { case (s, ids) => SuffixBlock(s, ids.toArray) }
-      .filter(b => b.cardinality > 0)
-      .toVector
-    // sort keys computed once: a Clean-clean cardinality counts the block
-    val keys = blocks.map(b => (-b.suffix.length, b.cardinality, b.suffix))
-    blocks.indices.sortBy(keys).map(blocks).toVector
+    val blocks = Blocks.fromTokens(pc)(SAPSAB.suffixes(_, lMin)).blocks
+    val length = blocks.iterator.map(_.key.length).toArray
+    val card = blocks.iterator.map(_.cardinality(pc)).toArray
+    val order = Array.range(0, blocks.size).sorted(new Ordering[Int] {
+      def compare(a: Int, b: Int): Int = {
+        val c = Integer.compare(length(b), length(a))
+        if (c != 0) c else java.lang.Long.compare(card(a), card(b))
+      }
+    })
+    order.iterator.map(k => SuffixBlock(blocks(k).key, blocks(k).profiles)).toVector
   }
 
   def emissions: Iterator[Comparison] =
@@ -56,15 +59,4 @@ object SAPSAB {
     */
   def suffixes(token: String, lMin: Int): Seq[String] =
     (0 to token.length - lMin).map(token.substring)
-
-  /** Executable comparisons of a profile-id set under the collection's ER
-    * type: n(n-1)/2 for Dirty, |b∩P1|·|b∩P2| for Clean-clean.
-    */
-  def cardinality(pc: ProfileCollection, ids: Array[Int]): Long = pc.erType match {
-    case DirtyEr =>
-      ids.length.toLong * (ids.length - 1) / 2
-    case CleanCleanEr =>
-      val n1 = ids.count(pc.source(_) == 1).toLong
-      n1 * (ids.length - n1)
-  }
 }

@@ -8,11 +8,31 @@ package repro.core
   */
 object Tokenizer {
 
-  private val NonAlphanumeric = java.util.regex.Pattern.compile("[^a-z0-9]+")
+  /** Lowercased alphanumeric tokens of one attribute value: the maximal runs
+    * of `[a-z0-9]` in `value.toLowerCase`.
+    */
+  def tokens(value: String): Seq[String] = {
+    val out = Vector.newBuilder[String]
+    foreachToken(value)(out += _)
+    out.result()
+  }
 
-  /** Lowercased alphanumeric tokens of one attribute value. */
-  def tokens(value: String): Seq[String] =
-    NonAlphanumeric.split(value.toLowerCase).iterator.filter(_.nonEmpty).toSeq
+  private def foreachToken(value: String)(f: String => Unit): Unit = {
+    val s = value.toLowerCase
+    var start = -1
+    var k = 0
+    while (k < s.length) {
+      val c = s.charAt(k)
+      if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+        if (start < 0) start = k
+      } else if (start >= 0) {
+        f(s.substring(start, k))
+        start = -1
+      }
+      k += 1
+    }
+    if (start >= 0) f(s.substring(start))
+  }
 
   /** Distinct blocking keys of a profile, in first-appearance order.
     *
@@ -21,9 +41,10 @@ object Tokenizer {
     * in the token's block).
     */
   def profileKeys(p: Profile): Vector[String] = {
-    val seen = new scala.collection.mutable.LinkedHashSet[String]
-    p.attrs.foreach { case (_, v) => tokens(v).foreach(seen += _) }
-    seen.toVector
+    val seen = new java.util.HashSet[String]
+    val out = Vector.newBuilder[String]
+    p.attrs.foreach { case (_, v) => foreachToken(v)(t => if (seen.add(t)) out += t) }
+    out.result()
   }
 
   /** (token, profileId) placements for a whole collection. */

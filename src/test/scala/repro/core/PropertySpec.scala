@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
-import repro.blocking.{BlockingGraph, ProfileIndex, TokenBlocking}
+import repro.blocking.{Arcs, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex, TokenBlocking}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -141,6 +141,97 @@ class PropertySpec extends SparkSpec {
       assert(nl.keys.toSeq === expected.map(_._1))
       for (i <- 0 until pc.size)
         assert(nl.positionsOf(i).toSeq === nl.entries.indices.filter(nl.entries(_) == i))
+    }
+  }
+
+  /** A string of ASCII letters and digits, punctuation, non-ASCII letters
+    * (some lowercase to ASCII or to more than one char) and surrogate pairs.
+    */
+  private val rawValueGen: Gen[String] =
+    Gen.listOf(Gen.oneOf(
+      Gen.alphaNumChar.map(_.toString),
+      Gen.oneOf(" ", "-", "_", ".", ",", "/", "!", "?", "\t", "'"),
+      Gen.oneOf("é", "ß", "İ", "Σ", "ς", "ﬁ", "\u212a", "Ω", "ı", "Ä"),
+      Gen.oneOf("\ud835\udc9c", "\ud83d\ude00", "\ud801\udc00", "\ud801\udc28"))).map(_.mkString)
+
+  test("the tokenizer equals the regex split on any string") {
+    for (v <- samples(rawValueGen, 400)) {
+      assert(Tokenizer.tokens(v) === BoxedReference.tokens(v), v)
+      val p = Profile(0, 0, Vector("a" -> v, "b" -> v.reverse, "c" -> v.toUpperCase))
+      assert(Tokenizer.profileKeys(p) === BoxedReference.profileKeys(p), v)
+    }
+  }
+
+  /** PR 2's collections plus single-source Clean-clean ER. */
+  private val blockingCollections: Seq[ProfileCollection] =
+    anyCollections ++ samples(anyCollectionGen, 20).map { pc =>
+      val side = if (pc.size % 2 == 0) 1 else 2
+      ProfileCollection(pc.profiles.map(_.copy(source = side)), CleanCleanEr)
+    }
+
+  private def sameBlocks(actual: Seq[repro.blocking.Block], expected: Seq[repro.blocking.Block], clue: String): Unit = {
+    assert(actual.map(_.key) === expected.map(_.key), clue)
+    assert(actual.map(_.profiles.toSeq) === expected.map(_.profiles.toSeq), clue)
+  }
+
+  test("Token Blocking equals the boxed builder") {
+    for (pc <- blockingCollections)
+      sameBlocks(TokenBlocking.build(pc).blocks, BoxedReference.tokenBlocks(pc), s"${pc.erType} |P|=${pc.size}")
+  }
+
+  test("SA-PSAB suffix blocks equal the boxed builder, in processing order") {
+    for (pc <- blockingCollections; lMin <- Seq(1, 2, 4)) {
+      val blocks = new SAPSAB(pc, lMin).orderedBlocks
+      val expected = BoxedReference.suffixBlocks(pc, lMin)
+      assert(blocks.map(b => (b.suffix, b.profiles.toSeq)) === expected.map { case (s, ids) => (s, ids.toSeq) },
+        s"${pc.erType} |P|=${pc.size} lMin=$lMin")
+      assert(blocks.map(_.cardinality) === expected.map(b => BoxedReference.cardinality(pc, b._2)))
+    }
+  }
+
+  /** Token blocks, purged token blocks and the full workflow's blocks. */
+  private def blockInputs(pc: ProfileCollection): Seq[BlockCollection] = {
+    val tb = TokenBlocking.build(pc)
+    Seq(tb, BlockPurging.purge(tb, 0.5), BlockFiltering.filter(BlockPurging.purge(tb, 0.5), 0.8))
+  }
+
+  test("Block Filtering equals the boxed filter") {
+    for (pc <- blockingCollections; bc <- blockInputs(pc); ratio <- Seq(0.5, 0.8, 1.0))
+      sameBlocks(BlockFiltering.filter(bc, ratio).blocks, BoxedReference.filter(bc, ratio),
+        s"${pc.erType} |P|=${pc.size} ratio=$ratio")
+  }
+
+  test("the Profile Index equals the boxed build") {
+    for (pc <- blockingCollections; bc <- blockInputs(pc)) {
+      val pi = ProfileIndex.build(bc)
+      val (ordered, cards, ids) = BoxedReference.profileIndex(bc)
+      sameBlocks(pi.orderedBlocks, ordered, s"${pc.erType} |P|=${pc.size}")
+      assert(pi.cardinalities.toSeq === cards)
+      assert((0 until pc.size).map(pi.blocksOf(_).toSeq) === ids)
+    }
+  }
+
+  test("neighborhood weights equal the boxed Map in raw bits") {
+    for (pc <- blockingCollections; bc <- blockInputs(pc); scheme <- Seq(Arcs, Cbs, JsScheme)) {
+      val pi = ProfileIndex.build(bc)
+      for (i <- 0 until pc.size) {
+        val bits = (m: collection.Map[Int, Double]) => m.map { case (j, w) => j -> java.lang.Double.doubleToRawLongBits(w) }.toMap
+        assert(bits(BlockingGraph.neighborhood(pc, pi, i, scheme)) === bits(BoxedReference.neighborhood(pc, pi, i, scheme)),
+          s"${pc.erType} |P|=${pc.size} ${scheme.name} i=$i")
+      }
+    }
+  }
+
+  test("PPS equals the boxed reference PPS, stream for stream") {
+    for (pc <- blockingCollections ++ samples(collectionGen); bc <- blockInputs(pc).take(2);
+         scheme <- Seq(Arcs, Cbs, JsScheme); kMax <- Seq(1, 3, 50)) {
+      val pi = ProfileIndex.build(bc)
+      val pps = new PPS(pc, pi, scheme, kMax)
+      val (init, stream) = BoxedReference.pps(pc, pi, scheme, kMax)
+      val clue = s"${pc.erType} |P|=${pc.size} ${scheme.name} kMax=$kMax"
+      assert(exact(pps.initialize().topComparisons) === exact(init.topComparisons), clue)
+      assert(pps.initialize().sortedProfileList === init.sortedProfileList, clue)
+      assert(exact(pps.emissions.toVector) === exact(stream), clue)
     }
   }
 
