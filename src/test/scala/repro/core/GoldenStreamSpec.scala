@@ -105,7 +105,12 @@ object GoldenStreamSpec {
     }
   }
 
-  // Captured from the implementation before the primitive window-scan kernel.
+  // Captured from the implementation before the primitive window-scan kernel,
+  // except the cddb and movies PPS digests: PPS sums every duplication
+  // likelihood in the neighbourhood kernel's first-touch order, which moves
+  // profiles with likelihoods equal up to rounding in the Sorted Profile
+  // List (count and first emissions unchanged; PropertySpec checks the
+  // stream against a boxed reference PPS).
   val ExpectedNl: Seq[(String, PinnedNl)] = Seq(
     "paper" -> PinnedNl(23, "e0e8fbf604ae1cf49d4d3853ffbed93ffcca1f3b541ba2f424390c6cc449ef5b", Seq(
       ("baker", 3), ("baker", 4), ("brown", 3), ("brown", 4), ("carl", 3),
@@ -210,7 +215,7 @@ object GoldenStreamSpec {
         (131, 486, 0x3ff0000000000000L), (10, 114, 0x4038aaaaaaaaaaa8L), (159, 173, 0x3ff0000000000000L),
         (336, 457, 0x3ff0000000000000L), (119, 167, 0x3ff199999999999aL), (192, 203, 0x3ff0000000000000L),
         (36, 344, 0x3ff0000000000000L), (298, 348, 0x3ff0000000000000L))),
-      "PPS" -> Pinned(6462, "f8fb6ab842b499b9f497289c654e1678335d6293eb21fd51a7b6f1eb26877dac", Seq(
+      "PPS" -> Pinned(6462, "ccc0fbee31251910486f88b7948307aecf69cb1c1c6d927dab27e8467f66ca17", Seq(
         (72, 431, 0x4042aaaaaaaaaaadL), (40, 216, 0x4038fffffffffffdL), (10, 114, 0x4038aaaaaaaaaaa8L),
         (7, 211, 0x40342aaaaaaaaaaaL), (279, 292, 0x40322aaaaaaaaaaaL), (71, 259, 0x4031a22222222223L),
         (35, 172, 0x403019999999999bL), (132, 476, 0x4030000000000000L), (332, 418, 0x402d000000000001L),
@@ -260,7 +265,7 @@ object GoldenStreamSpec {
         (524, 620, 0x3ff6b68fc613a70cL), (455, 773, 0x40011f518562cf31L), (382, 938, 0x4003103227b4c470L),
         (24, 639, 0x3ffc444444444444L), (477, 760, 0x3ff463bd81a98ef6L), (288, 605, 0x3ff659c427e56710L),
         (253, 717, 0x4001c817ff2c2a9eL), (91, 957, 0x3ff6bd01feab8da0L))),
-      "PPS" -> Pinned(17003, "58517d03ba47f6e99c044cb241321cd6fce294cfd1db0e6cb2594a2682a33107", Seq(
+      "PPS" -> Pinned(17003, "ad7a95f097a8bd2e1ecb8d8ff43a712daecf9d4764243fb9d709379fbd5fe262", Seq(
         (314, 942, 0x4005efa4fa4fa4faL), (513, 807, 0x4004a8a28a28a28bL), (516, 991, 0x4004827027027027L),
         (301, 897, 0x4004659659659659L), (294, 878, 0x40031d11d11d11d0L), (382, 938, 0x4003103227b4c470L),
         (166, 828, 0x4002c5e45e45e45dL), (249, 931, 0x4002c4ac4ac4ac4bL), (4, 795, 0x4002779be02468acL),
