@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.blocking.{BlockFiltering, BlockPurging, ProfileIndex, TokenBlocking}
 import repro.core._
 import repro.data.HeterogeneousData
 import repro.eval.{ErDataset, Experiments, Harness}
@@ -21,6 +22,12 @@ class ComplexityBench extends SparkSpec {
   }
 
   private def dataset(scale: Double): ErDataset = HeterogeneousData.freebase(scale)
+
+  private def ms[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
 
   test("Table 1: print measured initialization scaling") {
     println("=== Table 1 probe: init time (ms) vs |P| (freebase-like) ===")
@@ -49,11 +56,6 @@ class ComplexityBench extends SparkSpec {
     // token, O(|P|); GS-PSN stores at most one comparison per (position,
     // window size), O(|NL|·w_max).
     val wMax = 20
-    def ms[A](body: => A): (A, Double) = {
-      val t0 = System.nanoTime()
-      val a = body
-      (a, (System.nanoTime() - t0) / 1e6)
-    }
     val stages = for (scale <- Seq(0.5, 1.0)) yield {
       val pc = dataset(scale).pc
       val (nl, nlMs) = ms(NeighborList.build(pc))
@@ -71,6 +73,43 @@ class ComplexityBench extends SparkSpec {
     // list growth relative to |NL|·w_max growth (w_max is fixed)
     val listRatio = list2.toDouble / list1 / nlRatio
     assert(listRatio > 0.8 && listRatio < 1.25, s"Comparison List growth over |NL| growth $listRatio")
+  }
+
+  test("per stage: the equality-based structures grow linearly") {
+    // Table 1: Token Blocking holds at most one membership per Neighbor List
+    // placement, SA-PSAB one per suffix of a placed token (l_min 4), and the
+    // PPS neighbourhood kernel adds one contribution per (block, member,
+    // member) of the Profile Index, Σ|b|²; each must grow with its input.
+    val lMin = 4
+    val stages = for (scale <- Seq(0.5, 1.0)) yield {
+      val pc = dataset(scale).pc
+      val placements = Tokenizer.placements(pc)
+      val (tb, tbMs) = ms(TokenBlocking.build(pc))
+      val (filtered, filterMs) = ms(BlockFiltering.filter(BlockPurging.purge(tb, 0.1), 0.8))
+      val (pi, piMs) = ms(ProfileIndex.build(filtered))
+      val (suffixBlocks, sabMs) = ms(new SAPSAB(pc, lMin).orderedBlocks)
+      val (_, ppsMs) = ms(new PPS(pc, pi).initialize())
+      val members = tb.blocks.iterator.map(_.size.toLong).sum
+      assert(members <= placements.size.toLong, s"Σ|b| $members > |NL| ${placements.size}")
+      val suffixPlacements = placements.iterator.map { case (t, _) => math.max(0, t.length - lMin + 1).toLong }.sum
+      val suffixMembers = suffixBlocks.iterator.map(_.profiles.length.toLong).sum
+      val kernelWork = pi.orderedBlocks.iterator.map(b => b.size.toLong * b.size).sum
+      (pc.size, placements.size, members, suffixPlacements, suffixMembers, kernelWork,
+        Seq(tbMs, filterMs, piMs, sabMs, ppsMs))
+    }
+    println("=== Table 1 per stage (freebase-like, equality-based) ===")
+    println(f"${"|P|"}%-7s ${"|NL|"}%-8s ${"sum|b|"}%-8s ${"suffixes"}%-9s ${"SA-PSAB sum|b|"}%-15s ${"PI sum|b|^2"}%-12s " +
+      f"${"tb.build"}%-9s ${"filter"}%-7s ${"pi.build"}%-9s ${"sapsab.blocks"}%-14s ${"pps.init"}%-8s (ms)")
+    for ((p, nl, tb, suf, sab, work, t) <- stages)
+      println(f"$p%-7d $nl%-8d $tb%-8d $suf%-9d $sab%-15d $work%-12d " +
+        f"${t(0)}%-9.1f ${t(1)}%-7.1f ${t(2)}%-9.1f ${t(3)}%-14.1f ${t(4)}%-8.1f")
+    val Seq(small, large) = stages
+    val nlGrowth = large._2.toDouble / small._2
+    for ((structure, growth) <- Seq(
+           "Σ|b| over |NL|" -> large._3.toDouble / small._3 / nlGrowth,
+           "SA-PSAB memberships over suffix placements" -> large._5.toDouble / small._5 / (large._4.toDouble / small._4),
+           "Profile Index Σ|b|² over |NL|" -> large._6.toDouble / small._6 / nlGrowth))
+      assert(growth > 0.8 && growth < 1.25, s"$structure growth $growth")
   }
 
   test("space: the Profile Index grows linearly with |P|") {

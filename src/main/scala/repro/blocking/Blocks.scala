@@ -26,7 +26,6 @@ object Blocks {
     val tokenStart = mutable.ArrayBuilder.make[Int]
     val tokenKeys = mutable.ArrayBuilder.make[Int]
     tokenStart += 0
-    var nTokenKeys = 0
     val placedToken = mutable.ArrayBuilder.make[Int]
     val placedProfile = mutable.ArrayBuilder.make[Int]
     for (p <- pc.profiles; tok <- Tokenizer.profileKeys(p)) {
@@ -38,9 +37,8 @@ object Blocks {
           var k = keyIds.get(key)
           if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
           tokenKeys += k
-          nTokenKeys += 1
         }
-        tokenStart += nTokenKeys
+        tokenStart += tokenKeys.length
       }
       placedToken += t
       placedProfile += p.id
