@@ -81,6 +81,8 @@ class ComplexityBench extends SparkSpec {
     // PPS neighbourhood kernel adds one contribution per (block, member,
     // member) of the Profile Index, Σ|b|²; each must grow with its input.
     val lMin = 4
+    final case class Stage(p: Int, nl: Long, members: Long, suffixes: Long, suffixMembers: Long,
+        kernelWork: Long, ms: Seq[Double])
     val stages = for (scale <- Seq(0.5, 1.0)) yield {
       val pc = dataset(scale).pc
       val placements = Tokenizer.placements(pc)
@@ -89,27 +91,30 @@ class ComplexityBench extends SparkSpec {
       val (pi, piMs) = ms(ProfileIndex.build(filtered))
       val (suffixBlocks, sabMs) = ms(new SAPSAB(pc, lMin).orderedBlocks)
       val (_, ppsMs) = ms(new PPS(pc, pi).initialize())
-      val members = tb.blocks.iterator.map(_.size.toLong).sum
-      assert(members <= placements.size.toLong, s"Σ|b| $members > |NL| ${placements.size}")
-      val suffixPlacements = placements.iterator.map { case (t, _) => math.max(0, t.length - lMin + 1).toLong }.sum
-      val suffixMembers = suffixBlocks.iterator.map(_.profiles.length.toLong).sum
-      val kernelWork = pi.orderedBlocks.iterator.map(b => b.size.toLong * b.size).sum
-      (pc.size, placements.size, members, suffixPlacements, suffixMembers, kernelWork,
+      val stage = Stage(
+        pc.size,
+        placements.size.toLong,
+        tb.blocks.iterator.map(_.size.toLong).sum,
+        placements.iterator.map { case (t, _) => math.max(0, t.length - lMin + 1).toLong }.sum,
+        suffixBlocks.iterator.map(_.profiles.length.toLong).sum,
+        pi.orderedBlocks.iterator.map(b => b.size.toLong * b.size).sum,
         Seq(tbMs, filterMs, piMs, sabMs, ppsMs))
+      assert(stage.members <= stage.nl, s"sum|b| ${stage.members} > |NL| ${stage.nl}")
+      stage
     }
     println("=== Table 1 per stage (freebase-like, equality-based) ===")
     println(f"${"|P|"}%-7s ${"|NL|"}%-8s ${"sum|b|"}%-8s ${"suffixes"}%-9s ${"SA-PSAB sum|b|"}%-15s ${"PI sum|b|^2"}%-12s " +
       f"${"tb.build"}%-9s ${"filter"}%-7s ${"pi.build"}%-9s ${"sapsab.blocks"}%-14s ${"pps.init"}%-8s (ms)")
-    for ((p, nl, tb, suf, sab, work, t) <- stages)
-      println(f"$p%-7d $nl%-8d $tb%-8d $suf%-9d $sab%-15d $work%-12d " +
-        f"${t(0)}%-9.1f ${t(1)}%-7.1f ${t(2)}%-9.1f ${t(3)}%-14.1f ${t(4)}%-8.1f")
+    for (s <- stages)
+      println(f"${s.p}%-7d ${s.nl}%-8d ${s.members}%-8d ${s.suffixes}%-9d ${s.suffixMembers}%-15d ${s.kernelWork}%-12d " +
+        f"${s.ms(0)}%-9.1f ${s.ms(1)}%-7.1f ${s.ms(2)}%-9.1f ${s.ms(3)}%-14.1f ${s.ms(4)}%-8.1f")
     val Seq(small, large) = stages
-    val nlGrowth = large._2.toDouble / small._2
-    for ((structure, growth) <- Seq(
-           "Σ|b| over |NL|" -> large._3.toDouble / small._3 / nlGrowth,
-           "SA-PSAB memberships over suffix placements" -> large._5.toDouble / small._5 / (large._4.toDouble / small._4),
-           "Profile Index Σ|b|² over |NL|" -> large._6.toDouble / small._6 / nlGrowth))
-      assert(growth > 0.8 && growth < 1.25, s"$structure growth $growth")
+    def growth(f: Stage => Long): Double = f(large).toDouble / f(small)
+    for ((structure, ratio) <- Seq(
+           "sum|b| over |NL|" -> growth(_.members) / growth(_.nl),
+           "SA-PSAB memberships over suffix placements" -> growth(_.suffixMembers) / growth(_.suffixes),
+           "Profile Index sum|b|^2 over |NL|" -> growth(_.kernelWork) / growth(_.nl)))
+      assert(ratio > 0.8 && ratio < 1.25, s"$structure growth $ratio")
   }
 
   test("space: the Profile Index grows linearly with |P|") {

@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
-import repro.blocking.{Arcs, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex, TokenBlocking}
+import repro.blocking.{Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex, TokenBlocking}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -169,7 +169,7 @@ class PropertySpec extends SparkSpec {
       ProfileCollection(pc.profiles.map(_.copy(source = side)), CleanCleanEr)
     }
 
-  private def sameBlocks(actual: Seq[repro.blocking.Block], expected: Seq[repro.blocking.Block], clue: String): Unit = {
+  private def sameBlocks(actual: Seq[Block], expected: Seq[Block], clue: String): Unit = {
     assert(actual.map(_.key) === expected.map(_.key), clue)
     assert(actual.map(_.profiles.toSeq) === expected.map(_.profiles.toSeq), clue)
   }
