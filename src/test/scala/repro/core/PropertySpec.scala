@@ -3,7 +3,9 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
-import repro.blocking.{Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex, TokenBlocking}
+import repro.blocking.{
+  Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex,
+  TokenBlocking}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -162,7 +164,7 @@ class PropertySpec extends SparkSpec {
     }
   }
 
-  /** PR 2's collections plus single-source Clean-clean ER. */
+  /** `anyCollections` plus single-source Clean-clean ER. */
   private val blockingCollections: Seq[ProfileCollection] =
     anyCollections ++ samples(anyCollectionGen, 20).map { pc =>
       val side = if (pc.size % 2 == 0) 1 else 2
