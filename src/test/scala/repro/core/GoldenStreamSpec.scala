@@ -47,13 +47,22 @@ object GoldenStreamSpec {
   val Cap = 200000
   val HeadSize = 20
 
+  private val cddb = StructuredData.cddb(0.05)
+
   private val collections: Map[String, ProfileCollection] = Map(
     "paper"  -> PaperExample.pc,
-    "cddb"   -> StructuredData.cddb(0.05).pc,
+    "cddb"   -> cddb.pc,
     "movies" -> HeterogeneousData.movies(0.02).pc)
 
   /** GS-PSN's w_max per dataset. */
   private val wMax = Map("paper" -> 5, "cddb" -> 20, "movies" -> 20)
+
+  /** PSN's schema-based key: cddb's expert key, the paper example's first
+    * attribute value.
+    */
+  private val psnKey: Map[String, Profile => String] = Map(
+    "paper" -> (_.attrs.head._2),
+    "cddb"  -> cddb.psnKey.get)
 
   private def hex(md: MessageDigest): String = md.digest().map(b => f"$b%02x").mkString
 
@@ -94,6 +103,7 @@ object GoldenStreamSpec {
       if (dataset == "paper") ProfileIndex.build(TokenBlocking.build(pc))
       else TokenBlockingWorkflow.profileIndex(pc)
     stream match {
+      case "PSN"     => pin(new PSN(pc, psnKey(dataset)).emissions)
       case "SA-PSN"  => pin(new SAPSN(pc, nl).emissions)
       case "SA-PSAB" => pin(new SAPSAB(pc, lMin = 4).emissions)
       case "LS-PSN"  =>
@@ -111,6 +121,7 @@ object GoldenStreamSpec {
   // profiles with likelihoods equal up to rounding in the Sorted Profile
   // List (count and first emissions unchanged; PropertySpec checks the
   // stream against a boxed reference PPS).
+  // The PSN streams were captured from PSN's own sliding-window loop.
   val ExpectedNl: Seq[(String, PinnedNl)] = Seq(
     "paper" -> PinnedNl(23, "e0e8fbf604ae1cf49d4d3853ffbed93ffcca1f3b541ba2f424390c6cc449ef5b", Seq(
       ("baker", 3), ("baker", 4), ("brown", 3), ("brown", 4), ("carl", 3),
@@ -131,6 +142,12 @@ object GoldenStreamSpec {
 
   val Expected: Seq[(String, Seq[(String, Pinned)])] = Seq(
     "paper" -> Seq(
+      "PSN" -> Pinned(15, "be0c0960674df066fbcc10a6efd13afde51e8d703e796c53472d37b9939f7172", Seq(
+        (3, 4, 0L), (0, 4, 0L), (0, 1, 0L),
+        (1, 5, 0L), (2, 5, 0L), (0, 3, 0L),
+        (1, 4, 0L), (0, 5, 0L), (1, 2, 0L),
+        (1, 3, 0L), (4, 5, 0L), (0, 2, 0L),
+        (3, 5, 0L), (2, 4, 0L), (2, 3, 0L))),
       "SA-PSN" -> Pinned(220, "648bd73fd48081a9f0281bf64545b905622b7f5968ec403ee751d3c69ced4868", Seq(
         (3, 4, 0L), (3, 4, 0L), (3, 4, 0L),
         (3, 4, 0L), (3, 4, 0L), (1, 4, 0L),
@@ -175,6 +192,14 @@ object GoldenStreamSpec {
         (1, 2, 0x3fe7777777777777L), (1, 5, 0x3fb1111111111111L), (2, 5, 0x3fb1111111111111L))),
     ),
     "cddb" -> Seq(
+      "PSN" -> Pinned(119805, "ec6e081dfcf740e9cab5636b055e0f6a3839739012da1970e4704eeb0e48dabf", Seq(
+        (7, 116, 0L), (116, 333, 0L), (151, 333, 0L),
+        (151, 201, 0L), (201, 385, 0L), (266, 385, 0L),
+        (266, 344, 0L), (118, 344, 0L), (118, 311, 0L),
+        (311, 487, 0L), (25, 487, 0L), (25, 350, 0L),
+        (77, 350, 0L), (77, 276, 0L), (49, 276, 0L),
+        (49, 267, 0L), (184, 267, 0L), (184, 243, 0L),
+        (243, 398, 0L), (398, 434, 0L))),
       "SA-PSN" -> Pinned(200000, "8b84d9c32efa5447287527dd8b588cb5993a307b564ab32e72c4ee47b601ffda", Seq(
         (30, 411, 0L), (30, 87, 0L), (87, 186, 0L),
         (186, 394, 0L), (41, 394, 0L), (41, 105, 0L),
