@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.blocking.{BlockFiltering, BlockPurging, ProfileIndex, TokenBlocking}
 import repro.core._
 import repro.data.HeterogeneousData
-import repro.eval.{ErDataset, Experiments, Harness}
+import repro.eval.{ErDataset, Experiments}
 
 /** Table 1 — space/time complexity probe. The paper's Table 1 is analytic;
   * this bench verifies the claimed *scaling shape* empirically: doubling the
@@ -23,6 +23,10 @@ class ComplexityBench extends SparkSpec {
 
   private def dataset(scale: Double): ErDataset = HeterogeneousData.freebase(scale)
 
+  /** The AUC matrix of `ds`, every method built up front. */
+  private def methods(ds: ErDataset): Seq[ProgressiveMethod] =
+    Experiments.aucMethods(ds).map(Experiments.method(ds, _))
+
   private def ms[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = body
@@ -32,8 +36,7 @@ class ComplexityBench extends SparkSpec {
   test("Table 1: print measured initialization scaling") {
     println("=== Table 1 probe: init time (ms) vs |P| (freebase-like) ===")
     println(f"${"method"}%-9s ${"|P|=s1"}%-10s ${"|P|=s2"}%-10s ${"ratio"}%-7s")
-    for ((m1, m2) <- Experiments.heterogeneousMethods(dataset(0.5))
-           .zip(Experiments.heterogeneousMethods(dataset(1.0)))) {
+    for ((m1, m2) <- methods(dataset(0.5)).zip(methods(dataset(1.0)))) {
       val t1 = initTime(m1); val t2 = initTime(m2)
       println(f"${m1.name}%-9s $t1%-10.1f $t2%-10.1f ${t2 / math.max(t1, 0.1)}%-7.2f")
     }
@@ -128,8 +131,7 @@ class ComplexityBench extends SparkSpec {
   }
 
   test("time: doubling |P| scales no method's init catastrophically") {
-    for ((m1, m2) <- Experiments.heterogeneousMethods(dataset(0.5))
-           .zip(Experiments.heterogeneousMethods(dataset(1.0)))) {
+    for ((m1, m2) <- methods(dataset(0.5)).zip(methods(dataset(1.0)))) {
       val t1 = math.max(initTime(m1), 5.0) // floor: timer noise on tiny inputs
       val t2 = initTime(m2)
       assert(t2 < t1 * 30 + 3000, s"${m1.name}: $t1 ms → $t2 ms")
@@ -138,7 +140,7 @@ class ComplexityBench extends SparkSpec {
 
   test("emission is far cheaper than initialization for the advanced methods") {
     val ds = dataset(1.0)
-    for (m <- Experiments.heterogeneousMethods(ds) if m.name != "SA-PSAB") {
+    for (m <- methods(ds) if m.name != "SA-PSAB") {
       val it = m.emissions
       val t0 = System.nanoTime(); if (it.hasNext) it.next()
       val init = System.nanoTime() - t0

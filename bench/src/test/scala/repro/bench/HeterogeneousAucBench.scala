@@ -19,7 +19,7 @@ class HeterogeneousAucBench extends SparkSpec {
   private val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
   private lazy val results =
-    Experiments.runAll(Datasets.heterogeneous(), Experiments.heterogeneousMethods, maxEcStar = 30.0)
+    Experiments.runAll(Datasets.heterogeneous(), maxEcStar = 30.0)
 
   private def mean(method: String, e: Double): Double = {
     val rs = results.filter(_.method == method)

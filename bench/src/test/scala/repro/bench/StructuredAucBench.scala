@@ -18,7 +18,7 @@ class StructuredAucBench extends SparkSpec {
   private val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
   private lazy val results =
-    Experiments.runAll(Datasets.structured(), Experiments.structuredMethods, maxEcStar = 30.0)
+    Experiments.runAll(Datasets.structured(), maxEcStar = 30.0)
 
   private def mean(method: String, e: Double): Double = {
     val rs = results.filter(_.method == method)

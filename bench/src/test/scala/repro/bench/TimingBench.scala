@@ -12,12 +12,8 @@ import repro.eval.{Experiments, Report}
   */
 class TimingBench extends SparkSpec {
 
-  private lazy val timed = {
-    // discarded warm-up pass: JIT-compile every code path before measuring
-    Experiments.runTimings(Seq(HeterogeneousData.movies(0.01)), maxEcStar = 2.0)
-    Experiments.runTimings(
-      Seq(HeterogeneousData.movies(0.1), HeterogeneousData.dbpedia(1.0)))
-  }
+  private lazy val timed =
+    Experiments.runTimings(Seq(HeterogeneousData.movies(0.1), HeterogeneousData.dbpedia(1.0)))
 
   test("print the timing table (Fig. 13)") {
     println("=== Fig. 13: initialization + comparison times ===")

@@ -15,8 +15,7 @@ object HeterogeneousAuc {
 
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val results =
-      Experiments.runAll(Datasets.heterogeneous(scale), Experiments.heterogeneousMethods)
+    val results = Experiments.runAll(Datasets.heterogeneous(scale))
     println("=== Fig. 11 (table form): AUC*@ec* per heterogeneous dataset ===")
     println(Report.aucTable(results, ecStars))
     println()

@@ -13,7 +13,7 @@ object StructuredAuc {
   val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
   def main(args: Array[String]): Unit = {
-    val results = Experiments.runAll(Datasets.structured(), Experiments.structuredMethods)
+    val results = Experiments.runAll(Datasets.structured())
     println("=== Fig. 9 (table form): AUC*@ec* per structured dataset ===")
     println(Report.aucTable(results, ecStars))
     println()

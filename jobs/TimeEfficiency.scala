@@ -14,7 +14,7 @@ object TimeEfficiency {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
     val dss = Seq(HeterogeneousData.movies(0.1 * scale), HeterogeneousData.dbpedia(scale))
-    val timed = { Experiments.runTimings(Seq(repro.data.HeterogeneousData.movies(0.01)), maxEcStar = 2.0); Experiments.runTimings(dss) }
+    val timed = Experiments.runTimings(dss)
     println("=== Fig. 13: initialization + comparison times ===")
     println(Report.timingTable(timed))
   }

@@ -19,15 +19,20 @@ final case class Block(key: String, profiles: Array[Int]) {
   def cardinality(pc: ProfileCollection): Long = Block.cardinality(pc, profiles, size)
 
   /** The valid comparisons of the block, in deterministic (i, j) order. */
-  def pairs(pc: ProfileCollection): Iterator[(Int, Int)] =
-    Iterator.range(0, profiles.length).flatMap { x =>
-      Iterator.range(x + 1, profiles.length).collect {
-        case y if pc.validPair(profiles(x), profiles(y)) => (profiles(x), profiles(y))
-      }
-    }
+  def pairs(pc: ProfileCollection): Iterator[(Int, Int)] = Block.pairs(pc, profiles)
 }
 
 object Block {
+
+  /** The valid comparisons among the ascending ids `ids`, in (i, j) order:
+    * the one pair enumerator of every block type.
+    */
+  def pairs(pc: ProfileCollection, ids: Array[Int]): Iterator[(Int, Int)] =
+    Iterator.range(0, ids.length).flatMap { x =>
+      Iterator.range(x + 1, ids.length).collect {
+        case y if pc.validPair(ids(x), ids(y)) => (ids(x), ids(y))
+      }
+    }
 
   /** ||b|| of the block holding the first `n` ids of `profiles`: the one
     * cardinality definition, shared by every block type.

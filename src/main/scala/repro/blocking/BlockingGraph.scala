@@ -13,24 +13,26 @@ import repro.core.{Comparison, ProfileCollection}
   */
 object BlockingGraph {
 
-  /** All distinct edges with weights, in deterministic order. Each pair is
-    * materialized from its least common block (LeCoBI), so no duplicates.
+  /** All distinct edges with weights, in deterministic order: the block
+    * edges of every block, in block id order, so no duplicates.
     */
   def edges(
       pc: ProfileCollection,
       pi: ProfileIndex,
-      scheme: BlockWeighting = Arcs): Vector[Comparison] = {
-    val out = Vector.newBuilder[Comparison]
-    var k = 0
-    while (k < pi.orderedBlocks.size) {
-      val b = pi.orderedBlocks(k)
-      b.pairs(pc).foreach { case (i, j) =>
-        if (pi.lecobi(i, j) == k) out += Comparison.of(i, j, scheme.weight(i, j, pi))
-      }
-      k += 1
+      scheme: BlockWeighting = Arcs): Vector[Comparison] =
+    Iterator.range(0, pi.orderedBlocks.size).flatMap(blockEdges(pc, pi, _, scheme)).toVector
+
+  /** The weighted edges materialized from block `k`: its valid pairs whose
+    * least common block (LeCoBI) is `k`, in (i, j) order.
+    */
+  def blockEdges(
+      pc: ProfileCollection,
+      pi: ProfileIndex,
+      k: Int,
+      scheme: BlockWeighting = Arcs): Iterator[Comparison] =
+    pi.orderedBlocks(k).pairs(pc).collect {
+      case (i, j) if pi.lecobi(i, j) == k => Comparison.of(i, j, scheme.weight(i, j, pi))
     }
-    out.result()
-  }
 
   /** The weighted neighborhood of node `i` (valid co-occurring profiles). */
   def neighborhood(

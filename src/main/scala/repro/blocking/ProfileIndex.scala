@@ -35,16 +35,7 @@ final class ProfileIndex private (
   }
 
   /** Number of blocks shared by `i` and `j` (linear merge). */
-  def commonBlockCount(i: Int, j: Int): Int = {
-    val a = blockIds(i); val b = blockIds(j)
-    var x = 0; var y = 0; var n = 0
-    while (x < a.length && y < b.length) {
-      if (a(x) == b(y)) { n += 1; x += 1; y += 1 }
-      else if (a(x) < b(y)) x += 1
-      else y += 1
-    }
-    n
-  }
+  def commonBlockCount(i: Int, j: Int): Int = sumOverCommonBlocks(i, j)(_ => 1.0).toInt
 
   /** Σ f(||b||) over the blocks shared by `i` and `j` — the merge that powers
     * every co-occurrence weighting scheme.

@@ -147,8 +147,7 @@ final class LSPSN(
 }
 
 object LSPSN {
-  def apply(pc: ProfileCollection, scheme: NlWeighting = Rcf, seed: Int = 42): LSPSN =
-    new LSPSN(pc, NeighborList.build(pc, seed), scheme)
+  def apply(pc: ProfileCollection): LSPSN = new LSPSN(pc, NeighborList.build(pc))
 }
 
 /** Global Schema-Agnostic PSN (Sec. 5.1.2).
@@ -182,9 +181,4 @@ final class GSPSN(
   def globalComparisons(): ComparisonList = WindowScan.comparisons(pc, nl, scheme, 1, effectiveWMax)
 
   def emissions: Iterator[Comparison] = globalComparisons().iterator
-}
-
-object GSPSN {
-  def apply(pc: ProfileCollection, wMax: Int, scheme: NlWeighting = Rcf, seed: Int = 42): GSPSN =
-    new GSPSN(pc, NeighborList.build(pc, seed), wMax, scheme)
 }

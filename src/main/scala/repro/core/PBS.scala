@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.blocking.{Arcs, BlockWeighting, ProfileIndex}
+import repro.blocking.{Arcs, BlockWeighting, BlockingGraph, ProfileIndex}
 
 /** Progressive Block Scheduling (Sec. 5.2.1, Algorithms 3 and 4).
   *
@@ -20,15 +20,11 @@ final class PBS(
   val name = "PBS"
 
   /** The sorted Comparison List of block `k` (Algorithm 3 lines 4–12): the
-    * block's non-repeated comparisons in descending edge weight.
+    * block's non-repeated comparisons — its Blocking Graph edges — in
+    * descending edge weight.
     */
   def blockComparisons(k: Int): Vector[Comparison] =
-    profileIndex.orderedBlocks(k)
-      .pairs(pc)
-      .collect { case (i, j) if profileIndex.lecobi(i, j) == k =>
-        Comparison.of(i, j, scheme.weight(i, j, profileIndex))
-      }
-      .toVector
+    BlockingGraph.blockEdges(pc, profileIndex, k, scheme).toVector
       .sorted(Comparison.byDescendingWeight)
 
   def emissions: Iterator[Comparison] =

@@ -6,30 +6,21 @@ package repro.core
   * Every profile gets ONE schema-based blocking key (crafted per dataset by
   * a domain expert, e.g. soundex(surname)+initials+zip for census); profiles
   * are sorted by key, and comparisons are emitted by a sliding window of
-  * iteratively incremented size over the sorted list of profiles.
+  * iteratively incremented size over the sorted list of profiles — SA-PSN's
+  * window run over a Neighbor List with one placement per profile.
   *
   * Applicable only when such a key exists — i.e. to the structured datasets;
   * this mirrors the paper, which has no PSN numbers for the heterogeneous
   * Clean-clean datasets.
   */
-final class PSN(pc: ProfileCollection, key: Profile => String, seed: Int = 42)
-    extends ProgressiveMethod {
+final class PSN(pc: ProfileCollection, key: Profile => String) extends ProgressiveMethod {
   val name = "PSN"
 
   /** The schema-based Neighbor List: one placement per profile. */
   val neighborList: NeighborList =
-    NeighborList.fromPlacements(pc.profiles.map(p => (key(p), p.id)), pc.size, seed)
+    NeighborList.fromPlacements(pc.profiles.map(p => (key(p), p.id)), pc.size)
 
-  def emissions: Iterator[Comparison] = {
-    val n = neighborList.size
-    Iterator.from(1).takeWhile(_ < n).flatMap { w =>
-      Iterator.range(0, n - w).flatMap { pos =>
-        val a = neighborList.entries(pos)
-        val b = neighborList.entries(pos + w)
-        if (pc.validPair(a, b)) Iterator.single(Comparison.of(a, b)) else Iterator.empty
-      }
-    }
-  }
+  def emissions: Iterator[Comparison] = new SAPSN(pc, neighborList).emissions
 }
 
 /** American Soundex — used to build the expert blocking keys of the census

@@ -42,13 +42,7 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
 
   def emissions: Iterator[Comparison] =
     orderedBlocks.iterator.flatMap { b =>
-      val ids = b.profiles
-      Iterator.range(0, ids.length).flatMap { x =>
-        Iterator.range(x + 1, ids.length).flatMap { y =>
-          if (pc.validPair(ids(x), ids(y))) Iterator.single(Comparison.of(ids(x), ids(y)))
-          else Iterator.empty
-        }
-      }
+      Block.pairs(pc, b.profiles).map { case (i, j) => Comparison.of(i, j) }
     }
 }
 

@@ -6,6 +6,8 @@ package repro.core
   * Neighbor List (Fig. 4b). Parameter-free; emissions may repeat the same
   * pair (every profile has multiple placements and the method keeps no
   * memory), exactly as in the paper.
+  * PSN runs this same emitter over its schema-based, single-key Neighbor
+  * List.
   *
   * For Dirty ER a window pair is valid if it involves two distinct profiles;
   * for Clean-clean ER it must also span the two sources.
@@ -26,6 +28,5 @@ final class SAPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMe
 }
 
 object SAPSN {
-  def apply(pc: ProfileCollection, seed: Int = 42): SAPSN =
-    new SAPSN(pc, NeighborList.build(pc, seed))
+  def apply(pc: ProfileCollection): SAPSN = new SAPSN(pc, NeighborList.build(pc))
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 /** Schema-agnostic blocking-key extraction (Sec. 3, "attribute value tokens").
   *
   * Every token that appears in any attribute value of a profile is a blocking
@@ -9,7 +11,8 @@ package repro.core
 object Tokenizer {
 
   /** Lowercased alphanumeric tokens of one attribute value: the maximal runs
-    * of `[a-z0-9]` in `value.toLowerCase`.
+    * of `[a-z0-9]` in `value.toLowerCase(Locale.ROOT)`, so the tokens do not
+    * depend on the JVM's default locale.
     */
   def tokens(value: String): Seq[String] = {
     val out = Vector.newBuilder[String]
@@ -18,7 +21,7 @@ object Tokenizer {
   }
 
   private def foreachToken(value: String)(f: String => Unit): Unit = {
-    val s = value.toLowerCase
+    val s = value.toLowerCase(Locale.ROOT)
     var start = -1
     var k = 0
     while (k < s.length) {

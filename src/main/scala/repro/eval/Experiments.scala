@@ -2,9 +2,11 @@ package repro.eval
 
 import repro.blocking.TokenBlockingWorkflow
 import repro.core._
+import repro.data.HeterogeneousData
 
 /** The experiment matrix of Sec. 7, shared by the spark-submit jobs and the
-  * bench suites so both produce identical tables.
+  * bench suites so both produce identical tables: one factory, `method`,
+  * and the AUC and timing lists derived from it.
   */
 object Experiments {
 
@@ -15,65 +17,68 @@ object Experiments {
     */
   def gsPsnBudget(nlSize: Int): Long = 3L * nlSize
 
-  /** Methods evaluated on a structured dataset (Fig. 9/10): the schema-based
-    * PSN baseline + both naïve and all four advanced schema-agnostic methods.
+  /** Every method of the evaluation, in the order of the paper's tables. */
+  val methodNames: Seq[String] = Seq("PSN", "SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS")
+
+  /** One method on `ds` with the paper's parameters, built with its own
+    * pre-processing (Neighbor List or Token Blocking Workflow):
+    *   - PSN on the dataset's expert key;
+    *   - SA-PSAB with l_min = 4;
+    *   - GS-PSN with w_max = `Harness.defaultWMax` (20 for Dirty ER, 200 for
+    *     Clean-clean ER) and, on freebase, the footnote-9 budget;
+    *   - PBS and PPS on the workflow's Profile Index with ARCS, PPS with
+    *     K_max = 50.
     */
-  def structuredMethods(ds: ErDataset): Seq[ProgressiveMethod] = {
-    val nl = NeighborList.build(ds.pc)
-    lazy val pi = TokenBlockingWorkflow.profileIndex(ds.pc)
-    ds.psnKey.map(k => new PSN(ds.pc, k)).toSeq ++ Seq(
-      new SAPSN(ds.pc, nl),
-      new SAPSAB(ds.pc),
-      new LSPSN(ds.pc, nl),
-      new GSPSN(ds.pc, nl, wMax = 20),
-      new PBS(ds.pc, pi),
-      new PPS(ds.pc, pi))
+  def method(ds: ErDataset, name: String): ProgressiveMethod = {
+    val pc = ds.pc
+    name match {
+      case "PSN"     => new PSN(pc, ds.psnKey.getOrElse(
+        throw new IllegalArgumentException(s"${ds.name} has no expert PSN key")))
+      case "SA-PSN"  => new SAPSN(pc, NeighborList.build(pc))
+      case "SA-PSAB" => new SAPSAB(pc, lMin = 4)
+      case "LS-PSN"  => new LSPSN(pc, NeighborList.build(pc))
+      case "GS-PSN"  =>
+        val nl = NeighborList.build(pc)
+        val budget = if (ds.name == "freebase") gsPsnBudget(nl.size) else Long.MaxValue
+        new GSPSN(pc, nl, Harness.defaultWMax(pc), maxComparisons = budget)
+      case "PBS"     => new PBS(pc, TokenBlockingWorkflow.profileIndex(pc))
+      case "PPS"     => new PPS(pc, TokenBlockingWorkflow.profileIndex(pc), kMax = 50)
+    }
   }
 
-  /** Methods evaluated on a heterogeneous dataset (Fig. 11/12): SA-PSN is
-    * the only baseline (no expert keys exist — Sec. 7 "Baselines");
-    * GS-PSN uses w_max = 200 and, on freebase, the memory budget.
+  /** The methods of the AUC study on `ds` (Figs. 9–12): all of them, PSN
+    * only where an expert key exists — the heterogeneous datasets have none
+    * (Sec. 7 "Baselines").
     */
-  def heterogeneousMethods(ds: ErDataset): Seq[ProgressiveMethod] = {
-    val nl = NeighborList.build(ds.pc)
-    lazy val pi = TokenBlockingWorkflow.profileIndex(ds.pc)
-    val budget = if (ds.name == "freebase") gsPsnBudget(nl.size) else Long.MaxValue
-    Seq(
-      new SAPSN(ds.pc, nl),
-      new SAPSAB(ds.pc),
-      new LSPSN(ds.pc, nl),
-      new GSPSN(ds.pc, nl, wMax = 200, maxComparisons = budget),
-      new PBS(ds.pc, pi),
-      new PPS(ds.pc, pi))
+  def aucMethods(ds: ErDataset): Seq[String] =
+    methodNames.filter(name => name != "PSN" || ds.psnKey.isDefined)
+
+  /** The recall curve of every method of `aucMethods` on every dataset, each
+    * method built just before its run.
+    */
+  def runAll(datasets: Seq[ErDataset], maxEcStar: Double = 30.0): Seq[MethodResult] =
+    for (ds <- datasets; name <- aucMethods(ds)) yield Harness.run(method(ds, name), ds, maxEcStar)
+
+  /** Method factories for the timing study (Sec. 7.3): every method but PSN
+    * and SA-PSAB (excluded as in the paper — an order of magnitude slower).
+    * Each thunk builds its own pre-processing structures, so `Harness.timed`
+    * charges them to the initialization time, as the paper does (Sec. 7
+    * "Metrics").
+    */
+  def timingFactories(ds: ErDataset): Seq[() => ProgressiveMethod] =
+    methodNames.filterNot(Set("PSN", "SA-PSAB")).map(name => () => method(ds, name))
+
+  /** Timing matrix of Sec. 7.3 (movies + dbpedia): every method of
+    * `timingFactories`, with the cheap and the expensive match function,
+    * measured after one discarded pass on a small movies sample that
+    * JIT-compiles every code path.
+    */
+  def runTimings(datasets: Seq[ErDataset], maxEcStar: Double = 5.0): Seq[TimedResult] = {
+    timings(Seq(HeterogeneousData.movies(0.01)), maxEcStar = 2.0)
+    timings(datasets, maxEcStar)
   }
 
-  def runAll(
-      datasets: Seq[ErDataset],
-      methods: ErDataset => Seq[ProgressiveMethod],
-      maxEcStar: Double = 30.0): Seq[MethodResult] =
-    for (ds <- datasets; m <- methods(ds)) yield Harness.run(m, ds, maxEcStar)
-
-  /** Method factories for the timing study: each thunk builds its own
-    * pre-processing structures (Neighbor List / Token Blocking Workflow), so
-    * `Harness.timed` charges them to the initialization time, as the paper
-    * does (Sec. 7 "Metrics").
-    */
-  def timingFactories(ds: ErDataset): Seq[() => ProgressiveMethod] = Seq(
-    () => SAPSN(ds.pc),
-    () => LSPSN(ds.pc),
-    () => {
-      val nl = NeighborList.build(ds.pc)
-      val budget = if (ds.name == "freebase") gsPsnBudget(nl.size) else Long.MaxValue
-      new GSPSN(ds.pc, nl, wMax = 200, maxComparisons = budget)
-    },
-    () => new PBS(ds.pc, TokenBlockingWorkflow.profileIndex(ds.pc)),
-    () => new PPS(ds.pc, TokenBlockingWorkflow.profileIndex(ds.pc)))
-
-  /** Timing matrix of Sec. 7.3 (movies + dbpedia; SA-PSAB excluded as in the
-    * paper — an order of magnitude slower): every advanced method + SA-PSN,
-    * with the cheap and the expensive match function.
-    */
-  def runTimings(datasets: Seq[ErDataset], maxEcStar: Double = 5.0): Seq[TimedResult] =
+  private def timings(datasets: Seq[ErDataset], maxEcStar: Double): Seq[TimedResult] =
     for {
       ds <- datasets
       fn <- Seq(MatchFunctions.JaccardFn, MatchFunctions.EditDistanceFn)

@@ -1,6 +1,5 @@
 package repro.eval
 
-import repro.blocking.{ProfileIndex, TokenBlockingWorkflow}
 import repro.core._
 
 /** A benchmark dataset: profiles + ground truth + (for structured data) the
@@ -37,23 +36,6 @@ object Harness {
   def defaultWMax(pc: ProfileCollection): Int = pc.erType match {
     case DirtyEr      => 20
     case CleanCleanEr => 200
-  }
-
-  /** All methods of the evaluation on this dataset (PSN only where an expert
-    * key exists, as in the paper). PBS and PPS share one Token Blocking
-    * Workflow run.
-    */
-  def methods(ds: ErDataset, wMax: Int = -1, kMax: Int = 50): Seq[ProgressiveMethod] = {
-    val w = if (wMax > 0) wMax else defaultWMax(ds.pc)
-    lazy val pi: ProfileIndex = TokenBlockingWorkflow.profileIndex(ds.pc)
-    val nl = NeighborList.build(ds.pc)
-    ds.psnKey.map(k => new PSN(ds.pc, k)).toSeq ++ Seq(
-      new SAPSN(ds.pc, nl),
-      new SAPSAB(ds.pc),
-      new LSPSN(ds.pc, nl),
-      new GSPSN(ds.pc, nl, w),
-      new PBS(ds.pc, pi),
-      new PPS(ds.pc, pi, kMax = kMax))
   }
 
   /** Stream a method up to `maxEcStar·|D_P|` emissions and record recall. */

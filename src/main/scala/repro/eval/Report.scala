@@ -40,11 +40,9 @@ object Report {
   /** Mean AUC*@ec* across datasets (Fig. 10 / Fig. 12). */
   def meanAucTable(results: Seq[MethodResult], ecStars: Seq[Double]): String = {
     val header = f"${"method"}%-9s " + ecStars.map(e => f"${s"mAUC*@${e.toInt}"}%-10s").mkString
+    val means = ecStars.map(e => Harness.meanAucStar(results, e).toMap)
     val rows = results.map(_.method).distinct.map { m =>
-      val rs = results.filter(_.method == m)
-      f"$m%-9s " + ecStars.map { e =>
-        f"${rs.map(_.aucStar(e)).sum / rs.size}%-10.3f"
-      }.mkString
+      f"$m%-9s " + means.map(mean => f"${mean(m)}%-10.3f").mkString
     }
     (header +: rows).mkString("\n")
   }

@@ -1,11 +1,19 @@
 package repro.core
 
+import java.util.Locale
 import repro.SparkSpec
 
 class TokenizerSpec extends SparkSpec {
 
   test("tokens lowercases input") {
     assert(Tokenizer.tokens("Ellen SMITH") === Seq("ellen", "smith"))
+  }
+
+  test("tokens lowercase the same under any default locale") {
+    val default = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr"))
+    try assert(Tokenizer.tokens("TITLE INFO") === Seq("title", "info"))
+    finally Locale.setDefault(default)
   }
 
   test("tokens splits on any non-alphanumeric run") {

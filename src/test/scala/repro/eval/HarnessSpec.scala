@@ -2,7 +2,7 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core._
-import repro.data.StructuredData
+import repro.data.{HeterogeneousData, StructuredData}
 
 class HarnessSpec extends SparkSpec {
 
@@ -23,11 +23,21 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("methods() includes PSN only when an expert key exists") {
-    val withKey = Harness.methods(fixture).map(_.name)
+    def names(ds: ErDataset) = Experiments.aucMethods(ds).map(Experiments.method(ds, _).name)
+    val withKey = names(fixture)
     assert(withKey.contains("PSN"))
-    val noKey = Harness.methods(fixture.copy(psnKey = None)).map(_.name)
+    val noKey = names(fixture.copy(psnKey = None))
     assert(!noKey.contains("PSN"))
     assert(noKey === Seq("SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS"))
+  }
+
+  test("the matrix's GS-PSN runs the paper's w_max, budgeted on freebase") {
+    def gsPsn(ds: ErDataset) = Experiments.method(ds, "GS-PSN").asInstanceOf[GSPSN]
+    assert(gsPsn(fixture).effectiveWMax === 20)
+    assert(gsPsn(HeterogeneousData.movies(0.02)).effectiveWMax === 200)
+    val freebase = HeterogeneousData.freebase(0.5)
+    val nl = NeighborList.build(freebase.pc).size
+    assert(gsPsn(freebase).effectiveWMax === (Experiments.gsPsnBudget(nl) / nl).toInt)
   }
 
   test("defaultWMax follows the paper: 20 structured, 200 heterogeneous") {
@@ -55,7 +65,7 @@ class HarnessSpec extends SparkSpec {
 
   test("runAll produces one result per (dataset, method)") {
     val ds = StructuredData.census()
-    val rs = Experiments.runAll(Seq(ds), Experiments.structuredMethods, maxEcStar = 1.0)
+    val rs = Experiments.runAll(Seq(ds), maxEcStar = 1.0)
     assert(rs.size === 7)
     assert(rs.map(_.method).distinct.size === 7)
   }
