@@ -29,7 +29,7 @@ object BlockingGraph {
       pc: ProfileCollection,
       pi: ProfileIndex,
       k: Int,
-      scheme: BlockWeighting = Arcs): Iterator[Comparison] =
+      scheme: BlockWeighting): Iterator[Comparison] =
     pi.orderedBlocks(k).pairs(pc).collect {
       case (i, j) if pi.lecobi(i, j) == k => Comparison.of(i, j, scheme.weight(i, j, pi))
     }

@@ -18,7 +18,8 @@ object Experiments {
   def gsPsnBudget(nlSize: Int): Long = 3L * nlSize
 
   /** Every method of the evaluation, in the order of the paper's tables. */
-  val methodNames: Seq[String] = Seq("PSN", "SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS")
+  private val methodNames: Seq[String] =
+    Seq("PSN", "SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS")
 
   /** One method on `ds` with the paper's parameters, built with its own
     * pre-processing (Neighbor List or Token Blocking Workflow):

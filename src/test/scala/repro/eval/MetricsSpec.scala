@@ -19,7 +19,8 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("an empty ground truth has recall 0 and AUC* 0") {
-    val curve = Metrics.recallCurve(Iterator(Comparison(0, 1, 0), Comparison(2, 3, 0)), GroundTruth(Set.empty), 10)
+    val em = Iterator(Comparison(0, 1, 0), Comparison(2, 3, 0))
+    val curve = Metrics.recallCurve(em, GroundTruth(Set.empty), 10)
     assert(curve.toSeq === Seq(0.0, 0.0))
     for (e <- Seq(1.0, 10.0)) {
       assert(Metrics.auc(curve, 0, e) === 0.0)
