@@ -23,10 +23,6 @@ class ComplexityBench extends SparkSpec {
 
   private def dataset(scale: Double): ErDataset = HeterogeneousData.freebase(scale)
 
-  /** The AUC matrix of `ds`, every method built up front. */
-  private def methods(ds: ErDataset): Seq[ProgressiveMethod] =
-    Experiments.aucMethods(ds).map(Experiments.method(ds, _))
-
   private def ms[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = body
@@ -36,7 +32,8 @@ class ComplexityBench extends SparkSpec {
   test("Table 1: print measured initialization scaling") {
     println("=== Table 1 probe: init time (ms) vs |P| (freebase-like) ===")
     println(f"${"method"}%-9s ${"|P|=s1"}%-10s ${"|P|=s2"}%-10s ${"ratio"}%-7s")
-    for ((m1, m2) <- methods(dataset(0.5)).zip(methods(dataset(1.0)))) {
+    for ((m1, m2) <- Experiments.aucMatrix(dataset(0.5))
+           .zip(Experiments.aucMatrix(dataset(1.0)))) {
       val t1 = initTime(m1); val t2 = initTime(m2)
       println(f"${m1.name}%-9s $t1%-10.1f $t2%-10.1f ${t2 / math.max(t1, 0.1)}%-7.2f")
     }
@@ -131,7 +128,8 @@ class ComplexityBench extends SparkSpec {
   }
 
   test("time: doubling |P| scales no method's init catastrophically") {
-    for ((m1, m2) <- methods(dataset(0.5)).zip(methods(dataset(1.0)))) {
+    for ((m1, m2) <- Experiments.aucMatrix(dataset(0.5))
+           .zip(Experiments.aucMatrix(dataset(1.0)))) {
       val t1 = math.max(initTime(m1), 5.0) // floor: timer noise on tiny inputs
       val t2 = initTime(m2)
       assert(t2 < t1 * 30 + 3000, s"${m1.name}: $t1 ms → $t2 ms")
@@ -140,7 +138,7 @@ class ComplexityBench extends SparkSpec {
 
   test("emission is far cheaper than initialization for the advanced methods") {
     val ds = dataset(1.0)
-    for (m <- methods(ds) if m.name != "SA-PSAB") {
+    for (m <- Experiments.aucMatrix(ds) if m.name != "SA-PSAB") {
       val it = m.emissions
       val t0 = System.nanoTime(); if (it.hasNext) it.next()
       val init = System.nanoTime() - t0

@@ -146,10 +146,6 @@ final class LSPSN(
     Iterator.from(1).takeWhile(_ < nl.size).flatMap(w => windowComparisons(w).iterator)
 }
 
-object LSPSN {
-  def apply(pc: ProfileCollection): LSPSN = new LSPSN(pc, NeighborList.build(pc))
-}
-
 /** Global Schema-Agnostic PSN (Sec. 5.1.2).
   *
   * Same machinery as LS-PSN, but the co-occurrence frequencies are

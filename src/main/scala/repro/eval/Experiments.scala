@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.blocking.TokenBlockingWorkflow
+import repro.blocking.{ProfileIndex, TokenBlockingWorkflow}
 import repro.core._
 import repro.data.HeterogeneousData
 
@@ -21,6 +21,14 @@ object Experiments {
   private val methodNames: Seq[String] =
     Seq("PSN", "SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS")
 
+  /** One dataset's pre-processing, each structure built on first use and
+    * shared by every method built from the same `Prep`.
+    */
+  private final class Prep(val ds: ErDataset) {
+    lazy val nl: NeighborList = NeighborList.build(ds.pc)
+    lazy val pi: ProfileIndex = TokenBlockingWorkflow.profileIndex(ds.pc)
+  }
+
   /** One method on `ds` with the paper's parameters, built with its own
     * pre-processing (Neighbor List or Token Blocking Workflow):
     *   - PSN on the dataset's expert key;
@@ -30,35 +38,38 @@ object Experiments {
     *   - PBS and PPS on the workflow's Profile Index with ARCS, PPS with
     *     K_max = 50.
     */
-  def method(ds: ErDataset, name: String): ProgressiveMethod = {
+  def method(ds: ErDataset, name: String): ProgressiveMethod = build(new Prep(ds), name)
+
+  private def build(prep: Prep, name: String): ProgressiveMethod = {
+    val ds = prep.ds
     val pc = ds.pc
     name match {
       case "PSN"     => new PSN(pc, ds.psnKey.getOrElse(
         throw new IllegalArgumentException(s"${ds.name} has no expert PSN key")))
-      case "SA-PSN"  => new SAPSN(pc, NeighborList.build(pc))
+      case "SA-PSN"  => new SAPSN(pc, prep.nl)
       case "SA-PSAB" => new SAPSAB(pc, lMin = 4)
-      case "LS-PSN"  => new LSPSN(pc, NeighborList.build(pc))
+      case "LS-PSN"  => new LSPSN(pc, prep.nl)
       case "GS-PSN"  =>
-        val nl = NeighborList.build(pc)
-        val budget = if (ds.name == "freebase") gsPsnBudget(nl.size) else Long.MaxValue
-        new GSPSN(pc, nl, Harness.defaultWMax(pc), maxComparisons = budget)
-      case "PBS"     => new PBS(pc, TokenBlockingWorkflow.profileIndex(pc))
-      case "PPS"     => new PPS(pc, TokenBlockingWorkflow.profileIndex(pc), kMax = 50)
+        val budget = if (ds.name == "freebase") gsPsnBudget(prep.nl.size) else Long.MaxValue
+        new GSPSN(pc, prep.nl, Harness.defaultWMax(pc), maxComparisons = budget)
+      case "PBS"     => new PBS(pc, prep.pi)
+      case "PPS"     => new PPS(pc, prep.pi, kMax = 50)
     }
   }
 
-  /** The methods of the AUC study on `ds` (Figs. 9–12): all of them, PSN
-    * only where an expert key exists — the heterogeneous datasets have none
-    * (Sec. 7 "Baselines").
+  /** The methods of the AUC study on `ds` (Figs. 9–12), as `method` builds
+    * them but sharing one Neighbor List and one Profile Index: all of them,
+    * PSN only where an expert key exists — the heterogeneous datasets have
+    * none (Sec. 7 "Baselines").
     */
-  def aucMethods(ds: ErDataset): Seq[String] =
-    methodNames.filter(name => name != "PSN" || ds.psnKey.isDefined)
+  def aucMatrix(ds: ErDataset): Seq[ProgressiveMethod] = {
+    val prep = new Prep(ds)
+    methodNames.filter(name => name != "PSN" || ds.psnKey.isDefined).map(build(prep, _))
+  }
 
-  /** The recall curve of every method of `aucMethods` on every dataset, each
-    * method built just before its run.
-    */
+  /** The recall curve of every method of `aucMatrix` on every dataset. */
   def runAll(datasets: Seq[ErDataset], maxEcStar: Double = 30.0): Seq[MethodResult] =
-    for (ds <- datasets; name <- aucMethods(ds)) yield Harness.run(method(ds, name), ds, maxEcStar)
+    for (ds <- datasets; m <- aucMatrix(ds)) yield Harness.run(m, ds, maxEcStar)
 
   /** Method factories for the timing study (Sec. 7.3): every method but PSN
     * and SA-PSAB (excluded as in the paper — an order of magnitude slower).
@@ -74,9 +85,9 @@ object Experiments {
     * measured after one discarded pass on a small movies sample that
     * JIT-compiles every code path.
     */
-  def runTimings(datasets: Seq[ErDataset], maxEcStar: Double = 5.0): Seq[TimedResult] = {
+  def runTimings(datasets: Seq[ErDataset]): Seq[TimedResult] = {
     timings(Seq(HeterogeneousData.movies(0.01)), maxEcStar = 2.0)
-    timings(datasets, maxEcStar)
+    timings(datasets, maxEcStar = 5.0)
   }
 
   private def timings(datasets: Seq[ErDataset], maxEcStar: Double): Seq[TimedResult] =

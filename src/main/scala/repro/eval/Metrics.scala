@@ -8,9 +8,6 @@ import repro.core.{Comparison, GroundTruth}
   * `ec* = ec / |D_P|`; the ideal method reaches recall 1 at `ec* = 1`.
   * `AUC@ec*` is the area under the recall-vs-ec* curve up to `ec*`, and
   * `AUC*@ec*` normalizes it by the ideal method's area, landing in [0, 1].
-  *
-  * An empty ground truth (|D_P| = 0) has no match to find: its recall is
-  * 0.0 after every emission, and its AUC, ideal AUC and AUC* are 0.0.
   */
 object Metrics {
 
@@ -26,7 +23,7 @@ object Metrics {
     while (k < maxEmissions && it.hasNext) {
       val c = it.next()
       if (gt.isMatch(c.i, c.j)) found += c.pair
-      out += (if (total == 0) 0.0 else found.size / total)
+      out += found.size / total
       k += 1
     }
     out.toArray
@@ -48,7 +45,7 @@ object Metrics {
       s += (if (k < curve.length) curve(k) else last)
       k += 1
     }
-    if (gtSize == 0) 0.0 else s / gtSize
+    s / gtSize
   }
 
   /** The ideal method's AUC@ecStar: recall k/|D_P| for the first |D_P|
@@ -62,10 +59,10 @@ object Metrics {
       s += math.min(1.0, k.toDouble / gtSize)
       k += 1
     }
-    if (gtSize == 0) 0.0 else s / gtSize
+    s / gtSize
   }
 
   /** Normalized AUC*@ecStar = AUC@ecStar / AUC_ideal@ecStar ∈ [0, 1]. */
   def aucStar(curve: Array[Double], gtSize: Int, ecStar: Double): Double =
-    if (gtSize == 0) 0.0 else auc(curve, gtSize, ecStar) / aucIdeal(gtSize, ecStar)
+    auc(curve, gtSize, ecStar) / aucIdeal(gtSize, ecStar)
 }

@@ -78,7 +78,7 @@ class LSPSNSpec extends SparkSpec {
         Profile(1, 1, Vector("a" -> "x z")),
         Profile(2, 2, Vector("a" -> "y z x"))),
       CleanCleanEr)
-    val m = LSPSN(cc)
+    val m = new LSPSN(cc, NeighborList.build(cc))
     for (w <- 1 to 4) {
       val ps = m.windowComparisons(w).map(_.pair)
       assert(ps.distinct.size === ps.size)

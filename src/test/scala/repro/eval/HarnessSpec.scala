@@ -23,7 +23,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("methods() includes PSN only when an expert key exists") {
-    def names(ds: ErDataset) = Experiments.aucMethods(ds).map(Experiments.method(ds, _).name)
+    def names(ds: ErDataset) = Experiments.aucMatrix(ds).map(_.name)
     val withKey = names(fixture)
     assert(withKey.contains("PSN"))
     val noKey = names(fixture.copy(psnKey = None))

@@ -18,17 +18,6 @@ class MetricsSpec extends SparkSpec {
     assert(Metrics.recallCurve(em, gt, 10).toSeq === Seq(0.5, 0.5, 1.0))
   }
 
-  test("an empty ground truth has recall 0 and AUC* 0") {
-    val em = Iterator(Comparison(0, 1, 0), Comparison(2, 3, 0))
-    val curve = Metrics.recallCurve(em, GroundTruth(Set.empty), 10)
-    assert(curve.toSeq === Seq(0.0, 0.0))
-    for (e <- Seq(1.0, 10.0)) {
-      assert(Metrics.auc(curve, 0, e) === 0.0)
-      assert(Metrics.aucIdeal(0, e) === 0.0)
-      assert(Metrics.aucStar(curve, 0, e) === 0.0)
-    }
-  }
-
   test("recallCurve stops at maxEmissions") {
     val em = Iterator.continually(Comparison(0, 2, 0))
     assert(Metrics.recallCurve(em, gt, 3).length === 3)
