@@ -2,7 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.Datasets
-import repro.eval.{Experiments, Report}
+import repro.eval.Experiments
+import repro.jobs.HeterogeneousAuc
 
 /** Fig. 11 / Fig. 12 — recall progressiveness on the three heterogeneous
   * Clean-clean datasets: per-dataset AUC*@{1,5,10,20} and the mean, for
@@ -16,8 +17,6 @@ import repro.eval.{Experiments, Report}
   */
 class HeterogeneousAucBench extends SparkSpec {
 
-  private val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
-
   private lazy val results =
     Experiments.runAll(Datasets.heterogeneous(), maxEcStar = 30.0)
 
@@ -30,11 +29,7 @@ class HeterogeneousAucBench extends SparkSpec {
     results.find(r => r.dataset == ds && r.method == method).get.aucStar(e)
 
   test("print the heterogeneous AUC* tables (Fig. 11 and Fig. 12)") {
-    println("=== Fig. 11 (table form): AUC*@ec* per heterogeneous dataset ===")
-    println(Report.aucTable(results, ecStars))
-    println()
-    println("=== Fig. 12: mean AUC*@ec* over the heterogeneous datasets ===")
-    println(Report.meanAucTable(results, ecStars))
+    println(HeterogeneousAuc.report(results))
   }
 
   test("PPS is the overall best performer (paper Fig. 12)") {

@@ -2,7 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.Datasets
-import repro.eval.{Experiments, Report}
+import repro.eval.Experiments
+import repro.jobs.StructuredAuc
 
 /** Fig. 9 / Fig. 10 — recall progressiveness on the four structured datasets:
   * per-dataset AUC*@{1,5,10,20} and the mean over datasets, for PSN, SA-PSN,
@@ -14,8 +15,6 @@ import repro.eval.{Experiments, Report}
   * structured data, and census is the one dataset where PSN beats PBS.
   */
 class StructuredAucBench extends SparkSpec {
-
-  private val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
   private lazy val results =
     Experiments.runAll(Datasets.structured(), maxEcStar = 30.0)
@@ -29,11 +28,7 @@ class StructuredAucBench extends SparkSpec {
     results.find(r => r.dataset == ds && r.method == method).get.aucStar(e)
 
   test("print the structured AUC* tables (Fig. 9 and Fig. 10)") {
-    println("=== Fig. 9 (table form): AUC*@ec* per structured dataset ===")
-    println(Report.aucTable(results, ecStars))
-    println()
-    println("=== Fig. 10: mean AUC*@ec* over the structured datasets ===")
-    println(Report.meanAucTable(results, ecStars))
+    println(StructuredAuc.report(results))
   }
 
   test("every advanced method beats both naïve methods on mean AUC*@10") {
@@ -75,7 +70,7 @@ class StructuredAucBench extends SparkSpec {
       // the raw area grows with the horizon; the normalized AUC* stays in [0,1]
       assert(Metrics.auc(r.curve, r.gtSize, 20.0) >= Metrics.auc(r.curve, r.gtSize, 1.0) - 1e-9,
         s"${r.method} on ${r.dataset}")
-      for (e <- ecStars)
+      for (e <- StructuredAuc.ecStars)
         assert(r.aucStar(e) >= 0.0 && r.aucStar(e) <= 1.0 + 1e-9, s"${r.method} on ${r.dataset}")
     }
   }

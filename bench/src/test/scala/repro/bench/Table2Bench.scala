@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.Datasets
-import repro.eval.Report
+import repro.jobs.Table2Characteristics
 
 /** Table 2 — dataset characteristics of the 7 synthetic analogs at benchmark
   * scale. Prints the table recorded in EXPERIMENTS.md and pins the shapes.
@@ -12,8 +12,7 @@ class Table2Bench extends SparkSpec {
   private lazy val dss = Datasets.structured() ++ Datasets.heterogeneous()
 
   test("Table 2: print dataset characteristics") {
-    println("=== Table 2: dataset characteristics (synthetic analogs) ===")
-    println(Report.datasetCharacteristics(dss))
+    println(Table2Characteristics.report(dss))
   }
 
   test("structured shapes match the paper") {

@@ -2,7 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.HeterogeneousData
-import repro.eval.{Experiments, Report}
+import repro.eval.Experiments
+import repro.jobs.TimeEfficiency
 
 /** Fig. 13 — time-efficiency study (Sec. 7.3): initialization time and mean
   * per-comparison time on movies and dbpedia with the cheap (jaccard-sim)
@@ -16,8 +17,7 @@ class TimingBench extends SparkSpec {
     Experiments.runTimings(Seq(HeterogeneousData.movies(0.1), HeterogeneousData.dbpedia(1.0)))
 
   test("print the timing table (Fig. 13)") {
-    println("=== Fig. 13: initialization + comparison times ===")
-    println(Report.timingTable(timed))
+    println(TimeEfficiency.report(timed))
   }
 
   test("every method emits comparisons under both match functions") {

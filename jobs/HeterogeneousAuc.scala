@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.data.Datasets
-import repro.eval.{Experiments, Report}
+import repro.eval.{Experiments, MethodResult, Report}
 
 /** spark-submit entrypoint for the heterogeneous-dataset study (the numbers
   * behind Fig. 11 and Fig. 12): per-dataset and mean AUC*@{1,5,10,20} for
@@ -13,13 +13,16 @@ import repro.eval.{Experiments, Report}
 object HeterogeneousAuc {
   val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
+  /** The Fig. 11 and Fig. 12 tables, as the job and its bench suite print them. */
+  def report(results: Seq[MethodResult]): String = Seq(
+    "=== Fig. 11 (table form): AUC*@ec* per heterogeneous dataset ===",
+    Report.aucTable(results, ecStars),
+    "",
+    "=== Fig. 12: mean AUC*@ec* over the heterogeneous datasets ===",
+    Report.meanAucTable(results, ecStars)).mkString("\n")
+
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val results = Experiments.runAll(Datasets.heterogeneous(scale))
-    println("=== Fig. 11 (table form): AUC*@ec* per heterogeneous dataset ===")
-    println(Report.aucTable(results, ecStars))
-    println()
-    println("=== Fig. 12: mean AUC*@ec* over the heterogeneous datasets ===")
-    println(Report.meanAucTable(results, ecStars))
+    println(report(Experiments.runAll(Datasets.heterogeneous(scale))))
   }
 }

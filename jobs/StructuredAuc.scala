@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.data.Datasets
-import repro.eval.{Experiments, Report}
+import repro.eval.{Experiments, MethodResult, Report}
 
 /** spark-submit entrypoint for the structured-dataset recall-progressiveness
   * study (the numbers behind Fig. 9 and Fig. 10): per-dataset and mean
@@ -12,12 +12,14 @@ import repro.eval.{Experiments, Report}
 object StructuredAuc {
   val ecStars = Seq(1.0, 5.0, 10.0, 20.0)
 
-  def main(args: Array[String]): Unit = {
-    val results = Experiments.runAll(Datasets.structured())
-    println("=== Fig. 9 (table form): AUC*@ec* per structured dataset ===")
-    println(Report.aucTable(results, ecStars))
-    println()
-    println("=== Fig. 10: mean AUC*@ec* over the structured datasets ===")
-    println(Report.meanAucTable(results, ecStars))
-  }
+  /** The Fig. 9 and Fig. 10 tables, as the job and its bench suite print them. */
+  def report(results: Seq[MethodResult]): String = Seq(
+    "=== Fig. 9 (table form): AUC*@ec* per structured dataset ===",
+    Report.aucTable(results, ecStars),
+    "",
+    "=== Fig. 10: mean AUC*@ec* over the structured datasets ===",
+    Report.meanAucTable(results, ecStars)).mkString("\n")
+
+  def main(args: Array[String]): Unit =
+    println(report(Experiments.runAll(Datasets.structured())))
 }

@@ -58,15 +58,10 @@ private[core] object WindowScan {
     * so every pair is counted from its larger id only; Clean-clean ER: `j`
     * on the other source. The counts live in one dense array plus the list
     * of neighbors touched, reset after each profile. Every counted neighbor
-    * is weighted with the scheme (lines 17–19); the frequencies are summed
-    * over `wHi - wLo + 1` window sizes.
+    * is weighted with RCF (lines 17–19); the frequencies are summed over
+    * `wHi - wLo + 1` window sizes.
     */
-  def comparisons(
-      pc: ProfileCollection,
-      nl: NeighborList,
-      scheme: NlWeighting,
-      wLo: Int,
-      wHi: Int): ComparisonList = {
+  def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int): ComparisonList = {
     val windows = wHi - wLo + 1
     val dirty = pc.erType == DirtyEr
     val entries = nl.entries
@@ -114,7 +109,7 @@ private[core] object WindowScan {
       while (t < nt) {
         val j = touched(t)
         pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
-        weights(n) = scheme.weight(count(j), lenI, nl.positionsOf(j).length, windows)
+        weights(n) = Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows)
         count(j) = 0
         n += 1
         t += 1
@@ -133,14 +128,11 @@ private[core] object WindowScan {
   * window, so a pair may be re-emitted under a later window — the drawback
   * GS-PSN removes.
   */
-final class LSPSN(
-    pc: ProfileCollection,
-    nl: NeighborList,
-    scheme: NlWeighting = Rcf) extends ProgressiveMethod {
+final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMethod {
   val name = "LS-PSN"
 
   /** The sorted Comparison List of one window size (Algorithm 1 for w). */
-  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, scheme, w, w)
+  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, w, w)
 
   def emissions: Iterator[Comparison] =
     Iterator.from(1).takeWhile(_ < nl.size).flatMap(w => windowComparisons(w).iterator)
@@ -165,7 +157,6 @@ final class GSPSN(
     pc: ProfileCollection,
     nl: NeighborList,
     wMax: Int,
-    scheme: NlWeighting = Rcf,
     maxComparisons: Long = Long.MaxValue) extends ProgressiveMethod {
   val name = "GS-PSN"
 
@@ -174,7 +165,7 @@ final class GSPSN(
     math.min(wMax.toLong, math.max(1L, maxComparisons / math.max(1, nl.size))).toInt
 
   /** The single, global Comparison List over windows `[1, effectiveWMax]`. */
-  def globalComparisons(): ComparisonList = WindowScan.comparisons(pc, nl, scheme, 1, effectiveWMax)
+  def globalComparisons(): ComparisonList = WindowScan.comparisons(pc, nl, 1, effectiveWMax)
 
   def emissions: Iterator[Comparison] = globalComparisons().iterator
 }

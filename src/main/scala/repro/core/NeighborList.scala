@@ -10,10 +10,10 @@ import scala.util.hashing.MurmurHash3
   * schema-agnostic keys each profile has one placement per distinct
   * attribute-value token, so it appears multiple times (Fig. 3e).
   *
-  * Ties inside a run of equal keys are ordered by a seeded hash of
-  * (key, profileId): the paper calls the within-key order "relatively
-  * random" (*coincidental proximity*); hashing reproduces that randomness
-  * deterministically, so tests and benchmarks are repeatable.
+  * Ties inside a run of equal keys are ordered by `NeighborList.tie`, a
+  * seeded hash of (key, profileId): the paper calls the within-key order
+  * "relatively random" (*coincidental proximity*); hashing reproduces that
+  * randomness deterministically, so tests and benchmarks are repeatable.
   *
   * @param entries       `entries(pos)` = profile id at Neighbor List position `pos`
   * @param keys          `keys(pos)` = the blocking key that put it there
@@ -33,6 +33,12 @@ final class NeighborList private (
 
 object NeighborList {
 
+  /** The within-key tie-break of placement (`key`, `id`): MurmurHash3 of
+    * `key#id` under `seed`. The distributed Neighbor List sorts by it too,
+    * so both lists are bit-identical.
+    */
+  def tie(key: String, id: Int, seed: Int = 42): Int = MurmurHash3.stringHash(s"$key#$id", seed)
+
   /** Build the Neighbor List of a collection from its attribute value tokens. */
   def build(pc: ProfileCollection, seed: Int = 42): NeighborList =
     fromPlacements(Tokenizer.placements(pc), pc.size, seed)
@@ -44,10 +50,9 @@ object NeighborList {
       placements: Seq[(String, Int)],
       nProfiles: Int,
       seed: Int = 42): NeighborList = {
-    // The order of a stable sort on (key, MurmurHash3 of "key#id"): keys are
-    // ranked through a sorted dictionary of the distinct keys, and the
-    // (hash, input position) tie-break packs into one Long, hash · 2^31 +
-    // position.
+    // The order of a stable sort on (key, tie): keys are ranked through a
+    // sorted dictionary of the distinct keys, and the (tie, input position)
+    // tie-break packs into one Long, tie · 2^31 + position.
     val n = placements.size
     val ids = new Array[Int](n)
     val rank = new Array[Int](n)
@@ -60,7 +65,7 @@ object NeighborList {
       if (d == null) { d = firstSeen.size; dictionary.put(key, d); firstSeen += key }
       ids(k) = id
       rank(k) = d // the key's first-seen index, replaced by its rank below
-      payload(k) = (MurmurHash3.stringHash(s"$key#$id", seed).toLong << 31) | k
+      payload(k) = (tie(key, id, seed).toLong << 31) | k
       k += 1
     }
     val sortedKeys = firstSeen.toArray.sorted

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.blocking.{Arcs, BlockWeighting, BlockingGraph, ProfileIndex}
+import repro.blocking.{BlockingGraph, ProfileIndex}
 
 /** Progressive Block Scheduling (Sec. 5.2.1, Algorithms 3 and 4).
   *
@@ -8,15 +8,12 @@ import repro.blocking.{Arcs, BlockWeighting, BlockingGraph, ProfileIndex}
   * weights 1/||b||: the smaller, the more distinctive, the earlier). Inside
   * every block, repeated comparisons are discarded with the LeCoBI condition
   * on the Profile Index, and the surviving comparisons are sorted by their
-  * Blocking Graph edge weight (ARCS by default) in descending order.
+  * Blocking Graph edge weight (ARCS, as in the paper) in descending order.
   *
   * Works uniformly for Dirty and Clean-clean ER — block cardinalities and
   * pair validity are delegated to the collection's ER type.
   */
-final class PBS(
-    pc: ProfileCollection,
-    val profileIndex: ProfileIndex,
-    scheme: BlockWeighting = Arcs) extends ProgressiveMethod {
+final class PBS(pc: ProfileCollection, val profileIndex: ProfileIndex) extends ProgressiveMethod {
   val name = "PBS"
 
   /** The sorted Comparison List of block `k` (Algorithm 3 lines 4–12): the
@@ -24,7 +21,7 @@ final class PBS(
     * descending edge weight.
     */
   def blockComparisons(k: Int): Vector[Comparison] =
-    BlockingGraph.blockEdges(pc, profileIndex, k, scheme).toVector
+    BlockingGraph.blockEdges(pc, profileIndex, k).toVector
       .sorted(Comparison.byDescendingWeight)
 
   def emissions: Iterator[Comparison] =

@@ -1,12 +1,12 @@
 package repro.core
 
-import repro.blocking.{Arcs, BlockWeighting, BlockingGraph, ProfileIndex}
+import repro.blocking.{BlockingGraph, ProfileIndex}
 import scala.collection.mutable
 
 /** Progressive Profile Scheduling (Sec. 5.2.2, Algorithms 5 and 6).
   *
   * Entity-centric: every profile gets a *duplication likelihood* — the
-  * average weight of its incident Blocking Graph edges — and profiles are
+  * average ARCS weight of its incident Blocking Graph edges — and profiles are
   * processed in decreasing duplication likelihood (the Sorted Profile List).
   *
   * Initialization emits the top-weighted comparison of every node (collected
@@ -23,7 +23,6 @@ import scala.collection.mutable
 final class PPS(
     pc: ProfileCollection,
     val profileIndex: ProfileIndex,
-    scheme: BlockWeighting = Arcs,
     kMax: Int = 50) extends ProgressiveMethod {
   val name = "PPS"
 
@@ -36,7 +35,7 @@ final class PPS(
     * rounding of the sum, so it depends on the Profile Index alone.
     */
   def initialize(): PPS.Init = {
-    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex, scheme)
+    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
     val top = mutable.ArrayBuffer.empty[Comparison]
     val topPairs = mutable.HashSet.empty[Long]
     val ids = mutable.ArrayBuilder.make[Long]
@@ -71,7 +70,7 @@ final class PPS(
     val emittedAtInit = init.topComparisons.iterator.map(PPS.pack).toArray
     java.util.Arrays.sort(emittedAtInit)
     val checked = new Array[Boolean](pc.size)
-    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex, scheme)
+    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
     init.topComparisons.iterator ++ init.sortedProfileList.iterator.flatMap { i =>
       checked(i) = true
       val n = nb.load(i)

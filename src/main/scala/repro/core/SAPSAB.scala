@@ -19,7 +19,7 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
   val name = "SA-PSAB"
 
   /** One node of the suffix forest: the suffix and the profiles it indexes. */
-  final case class SuffixBlock(suffix: String, profiles: Array[Int]) {
+  final class SuffixBlock(val suffix: String, val profiles: Array[Int]) {
     def cardinality: Long = Block.cardinality(pc, profiles, profiles.length)
   }
 
@@ -37,7 +37,7 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
         if (c != 0) c else java.lang.Long.compare(card(a), card(b))
       }
     })
-    order.iterator.map(k => SuffixBlock(blocks(k).key, blocks(k).profiles)).toVector
+    order.iterator.map(k => new SuffixBlock(blocks(k).key, blocks(k).profiles)).toVector
   }
 
   def emissions: Iterator[Comparison] =

@@ -148,13 +148,13 @@ object HeterogeneousData {
     * n2 = 1.23k·scale, matches = 0.5k·scale (paper ratio 4.2M/3.7M/1.5M).
     *
     * Attribute values are URIs. Matching pairs share ~6 mid-frequency *topic*
-    * tokens (block size ≈ `topicFreq`), while every profile also carries
+    * tokens (block size ≈ 150), while every profile also carries
     * unique id tokens and universal RDF keywords. Equality-based methods
     * exploit the shared topic blocks (ARCS); for similarity-based methods the
     * Neighbor List is dominated by URI junk whose alphabetical order is
     * meaningless — the failure mode of Sec. 7.2.
     */
-  def freebase(scale: Double = 1.0, seed: Long = 31, topicFreq: Int = 150): ErDataset = {
+  def freebase(scale: Double = 1.0, seed: Long = 31): ErDataset = {
     val rnd = new Random(seed)
     val n1 = math.max(80, math.round(1400 * scale).toInt)
     val n2 = math.max(70, math.round(1230 * scale).toInt)
@@ -162,6 +162,7 @@ object HeterogeneousData {
 
     val nEntities   = n1 + n2 - nM
     val topicsPer   = 6
+    val topicFreq   = 150
     val vocabSize   = math.max(20, 2 * nEntities * topicsPer / topicFreq)
     val topicVocab  = vocab(rnd, vocabSize, 3, 4)
 

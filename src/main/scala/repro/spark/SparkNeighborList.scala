@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import scala.util.hashing.MurmurHash3
+import repro.core.NeighborList
 
 /** Distributed Neighbor List (Sec. 3.2 / 5.1): a global sort of all
   * (token, profile) placements across partitions, plus the window-based
@@ -13,13 +13,13 @@ object SparkNeighborList {
 
   /** Placements with global positions `(pos, token, profile_id, source)`.
     *
-    * Ties inside a token run use the same seeded murmur hash as the local
-    * `NeighborList`, so the distributed list is bit-identical to the
+    * Ties inside a token run are broken by `NeighborList.tie`, as in the
+    * local `NeighborList`, so the distributed list is bit-identical to the
     * single-node one (coincidental proximity included).
     */
-  def placements(spark: SparkSession, index: DataFrame, seed: Int = 42): DataFrame = {
+  def placements(spark: SparkSession, index: DataFrame): DataFrame = {
     import spark.implicits._
-    val tie = udf((t: String, id: Int) => MurmurHash3.stringHash(s"$t#$id", seed))
+    val tie = udf((t: String, id: Int) => NeighborList.tie(t, id))
     index
       .withColumn("tie", tie(col("token"), col("profile_id")))
       .orderBy(col("token"), col("tie"))

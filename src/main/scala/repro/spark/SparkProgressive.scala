@@ -14,28 +14,24 @@ import repro.core.{Comparison, ProfileCollection}
   */
 object SparkProgressive {
 
-  /** End-to-end distributed PBS: Token Blocking Workflow → ARCS Blocking
-    * Graph → global (lecobi, −weight) sort. Returns the ordered comparisons
-    * DataFrame (columns i, j, weight, lecobi).
+  /** End-to-end distributed PBS: Token Blocking Workflow (the paper's 10 %
+    * purging and 80 % filtering) → ARCS Blocking Graph → global
+    * (lecobi, −weight) sort. Returns the ordered comparisons DataFrame
+    * (columns i, j, weight, lecobi).
     */
-  def pbs(
-      spark: SparkSession,
-      pc: ProfileCollection,
-      purgeFraction: Double = 0.1,
-      filterRatio: Double = 0.8): DataFrame = {
+  def pbs(spark: SparkSession, pc: ProfileCollection): DataFrame = {
     val cc = SparkEr.isCleanClean(pc)
     val index = SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc))
-    val (filtered, ordered) =
-      SparkTokenBlocking.workflow(index, pc.size.toLong, cc, purgeFraction, filterRatio)
+    val (filtered, ordered) = SparkTokenBlocking.workflow(index, pc.size.toLong, cc)
     SparkBlockingGraph.pbsOrder(SparkBlockingGraph.arcsEdges(filtered, ordered, cc))
   }
 
   /** End-to-end distributed GS-PSN: distributed Neighbor List → RCF weights
     * over `[1, wMax]` → global descending-weight sort.
     */
-  def gsPsn(spark: SparkSession, pc: ProfileCollection, wMax: Int, seed: Int = 42): DataFrame = {
+  def gsPsn(spark: SparkSession, pc: ProfileCollection, wMax: Int): DataFrame = {
     val index = SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc))
-    val nl = SparkNeighborList.placements(spark, index, seed)
+    val nl = SparkNeighborList.placements(spark, index)
     SparkNeighborList.gsPsnOrder(nl, wMax, SparkEr.isCleanClean(pc))
   }
 

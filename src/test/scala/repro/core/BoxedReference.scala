@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.blocking.{Block, BlockCollection, BlockWeighting, ProfileIndex}
+import repro.blocking.{Block, BlockCollection, ProfileIndex}
 import scala.collection.mutable
 
 /** The equality-based layer as it was before the primitive block builder,
@@ -70,29 +70,25 @@ object BoxedReference {
     (ordered, ordered.map(b => cardinality(pc, b.profiles)), ids.map(_.toSeq).toSeq)
   }
 
-  /** The neighborhood of `i`, in first-touch order: ascending block id, then
-    * ascending profile id.
+  /** The ARCS-weighted neighborhood of `i`, in first-touch order: ascending
+    * block id, then ascending profile id.
     */
-  def neighborhood(
-      pc: ProfileCollection,
-      pi: ProfileIndex,
-      i: Int,
-      scheme: BlockWeighting): mutable.LinkedHashMap[Int, Double] = {
+  def neighborhood(pc: ProfileCollection, pi: ProfileIndex, i: Int): mutable.LinkedHashMap[Int, Double] = {
     val acc = mutable.LinkedHashMap.empty[Int, Double]
     for (bk <- pi.blocksOf(i); j <- pi.orderedBlocks(bk).profiles)
       if (j != i && pc.validPair(i, j))
-        acc.update(j, acc.getOrElse(j, 0.0) + scheme.perBlock(pi.cardinalities(bk)))
-    acc.map { case (j, s) => (j, scheme.combine(s, i, j, pi)) }
+        acc.update(j, acc.getOrElse(j, 0.0) + 1.0 / pi.cardinalities(bk))
+    acc
   }
 
   /** PPS with boxed neighborhoods; every likelihood sums its node's weights
     * in first-touch order.
     */
-  def pps(pc: ProfileCollection, pi: ProfileIndex, scheme: BlockWeighting, kMax: Int): (PPS.Init, Vector[Comparison]) = {
+  def pps(pc: ProfileCollection, pi: ProfileIndex, kMax: Int): (PPS.Init, Vector[Comparison]) = {
     val top = mutable.LinkedHashMap.empty[(Int, Int), Comparison]
     val likelihood = mutable.ArrayBuffer.empty[(Int, Double)]
     for (i <- 0 until pc.size) {
-      val nbrs = neighborhood(pc, pi, i, scheme)
+      val nbrs = neighborhood(pc, pi, i)
       if (nbrs.nonEmpty) {
         var sum = 0.0
         for ((_, w) <- nbrs) sum += w
@@ -108,7 +104,7 @@ object BoxedReference {
     val checked = mutable.HashSet.empty[Int]
     val stream = init.topComparisons ++ init.sortedProfileList.flatMap { i =>
       checked += i
-      neighborhood(pc, pi, i, scheme).toVector
+      neighborhood(pc, pi, i).toVector
         .collect { case (j, w) if !checked.contains(j) => Comparison.of(i, j, w) }
         .filterNot(c => emittedAtInit.contains(c.pair))
         .sorted(Comparison.byDescendingWeight)

@@ -4,8 +4,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.blocking.{
-  Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, Cbs, JsScheme, ProfileIndex,
-  TokenBlocking}
+  Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -69,12 +68,7 @@ class PropertySpec extends SparkSpec {
     * a `LinkedHashMap` of neighbor frequencies per scanned profile, boxed
     * comparisons, and a sort with the tuple ordering.
     */
-  private def referenceScan(
-      pc: ProfileCollection,
-      nl: NeighborList,
-      scheme: NlWeighting,
-      wLo: Int,
-      wHi: Int): Vector[Comparison] =
+  private def referenceScan(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int): Vector[Comparison] =
     pc.source1Ids.iterator.flatMap { i =>
       val freq = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
       for (pos <- nl.positionsOf(i); w <- wLo to wHi; at <- Seq(pos + w, pos - w)
@@ -88,7 +82,7 @@ class PropertySpec extends SparkSpec {
       }
       val lenI = nl.positionsOf(i).length
       freq.iterator.map { case (j, f) =>
-        Comparison.of(i, j, scheme.weight(f, lenI, nl.positionsOf(j).length, wHi - wLo + 1))
+        Comparison.of(i, j, Rcf.weight(f, lenI, nl.positionsOf(j).length, wHi - wLo + 1))
       }
     }.toVector.sorted(Comparison.byDescendingWeight)
 
@@ -96,37 +90,41 @@ class PropertySpec extends SparkSpec {
   private def exact(cs: Seq[Comparison]): Seq[(Int, Int, Long)] =
     cs.map(c => (c.i, c.j, java.lang.Double.doubleToRawLongBits(c.weight)))
 
-  /** A scheme with many ties, signed zeros and NaN, to pin the tie-break
-    * and the `java.lang.Double.compare` order of the weights.
+  /** Distinct canonical pairs, each with a weight that ties, is a signed
+    * zero, NaN or infinite more often than not.
     */
-  private object EdgeWeights extends NlWeighting {
-    val name = "edge"
-    def weight(freq: Int, lenI: Int, lenJ: Int, windows: Int): Double = (freq + lenI) % 4 match {
-      case 0 => 0.0
-      case 1 => -0.0
-      case 2 => Double.NaN
-      case _ => freq.toDouble
+  private val weightedPairsGen: Gen[Vector[Comparison]] = for {
+    pairs   <- Gen.listOf(Gen.choose(0, 14).flatMap(i => Gen.choose(i + 1, 15).map(j => (i, j))))
+    weights <- Gen.listOfN(pairs.size, Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, 0.5, 1.0))
+  } yield pairs.distinct.zip(weights).map { case ((i, j), w) => Comparison(i, j, w) }.toVector
+
+  test("the Comparison List sorts by descending weight in raw bits, signed zeros and NaN included") {
+    for (cs <- samples(weightedPairsGen, 200)) {
+      // spare capacity past n, as the window scan leaves it
+      val pairs = cs.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L)
+      val weights = cs.map(_.weight).toArray ++ Array(Double.NaN, 2.0)
+      val sorted = ComparisonList.sorted(pairs, weights, cs.size)
+      assert(exact(sorted) === exact(cs.sorted(Comparison.byDescendingWeight)), cs)
     }
   }
 
   test("LS-PSN windows equal the reference scan, sequence for sequence") {
-    for (pc <- anyCollections; scheme <- Seq(Rcf, EdgeWeights)) {
+    for (pc <- anyCollections) {
       val nl = NeighborList.build(pc)
-      val ls = new LSPSN(pc, nl, scheme)
+      val ls = new LSPSN(pc, nl)
       for (w <- 1 to nl.size + 1)
-        assert(exact(ls.windowComparisons(w)) === exact(referenceScan(pc, nl, scheme, w, w)),
-          s"${pc.erType} |P|=${pc.size} ${scheme.name} w=$w")
+        assert(exact(ls.windowComparisons(w)) === exact(referenceScan(pc, nl, w, w)),
+          s"${pc.erType} |P|=${pc.size} w=$w")
     }
   }
 
   test("GS-PSN lists equal the reference scan, wMax up to and beyond |NL|") {
-    for (pc <- anyCollections; scheme <- Seq(Rcf, EdgeWeights)) {
+    for (pc <- anyCollections) {
       val nl = NeighborList.build(pc)
       for (wMax <- Seq(1, 2, 5, nl.size, nl.size + 3).filter(_ >= 1).distinct) {
-        val gs = new GSPSN(pc, nl, wMax, scheme)
-        val expected = exact(referenceScan(pc, nl, scheme, 1, wMax))
-        assert(exact(gs.globalComparisons()) === expected,
-          s"${pc.erType} |P|=${pc.size} ${scheme.name} wMax=$wMax")
+        val gs = new GSPSN(pc, nl, wMax)
+        val expected = exact(referenceScan(pc, nl, 1, wMax))
+        assert(exact(gs.globalComparisons()) === expected, s"${pc.erType} |P|=${pc.size} wMax=$wMax")
         assert(exact(gs.emissions.toVector) === expected)
       }
     }
@@ -214,27 +212,41 @@ class PropertySpec extends SparkSpec {
   }
 
   test("neighborhood weights equal the boxed Map in raw bits") {
-    for (pc <- blockingCollections; bc <- blockInputs(pc); scheme <- Seq(Arcs, Cbs, JsScheme)) {
+    for (pc <- blockingCollections; bc <- blockInputs(pc)) {
       val pi = ProfileIndex.build(bc)
       for (i <- 0 until pc.size) {
         val bits = (m: collection.Map[Int, Double]) => m.map { case (j, w) => j -> java.lang.Double.doubleToRawLongBits(w) }.toMap
-        assert(bits(BlockingGraph.neighborhood(pc, pi, i, scheme)) === bits(BoxedReference.neighborhood(pc, pi, i, scheme)),
-          s"${pc.erType} |P|=${pc.size} ${scheme.name} i=$i")
+        assert(bits(BlockingGraph.neighborhood(pc, pi, i)) === bits(BoxedReference.neighborhood(pc, pi, i)),
+          s"${pc.erType} |P|=${pc.size} i=$i")
       }
     }
   }
 
   test("PPS equals the boxed reference PPS, stream for stream") {
-    for (pc <- blockingCollections ++ samples(collectionGen); bc <- blockInputs(pc).take(2);
-         scheme <- Seq(Arcs, Cbs, JsScheme); kMax <- Seq(1, 3, 50)) {
+    var nodes = 0
+    var tiedBest = 0
+    var tiedLikelihoods = 0
+    for (pc <- blockingCollections ++ samples(collectionGen); bc <- blockInputs(pc).take(2)) {
       val pi = ProfileIndex.build(bc)
-      val pps = new PPS(pc, pi, scheme, kMax)
-      val (init, stream) = BoxedReference.pps(pc, pi, scheme, kMax)
-      val clue = s"${pc.erType} |P|=${pc.size} ${scheme.name} kMax=$kMax"
-      assert(exact(pps.initialize().topComparisons) === exact(init.topComparisons), clue)
-      assert(pps.initialize().sortedProfileList === init.sortedProfileList, clue)
-      assert(exact(pps.emissions.toVector) === exact(stream), clue)
+      val nbrs = (0 until pc.size).map(BoxedReference.neighborhood(pc, pi, _)).filter(_.nonEmpty)
+      nodes += nbrs.size
+      tiedBest += nbrs.count { n => val best = n.values.max; n.values.count(_ == best) > 1 }
+      val likelihoods = nbrs.map(n => n.values.sum / n.size)
+      tiedLikelihoods += likelihoods.size - likelihoods.distinct.size
+      for (kMax <- Seq(1, 3, 50)) {
+        val pps = new PPS(pc, pi, kMax)
+        val (init, stream) = BoxedReference.pps(pc, pi, kMax)
+        val clue = s"${pc.erType} |P|=${pc.size} kMax=$kMax"
+        assert(exact(pps.initialize().topComparisons) === exact(init.topComparisons), clue)
+        assert(pps.initialize().sortedProfileList === init.sortedProfileList, clue)
+        assert(exact(pps.emissions.toVector) === exact(stream), clue)
+      }
     }
+    // The ARCS weights of these inputs tie, so the (i, j) tie-break of the
+    // top comparisons and the id tie-break of the Sorted Profile List are
+    // exercised.
+    assert(tiedBest > 0 && tiedLikelihoods > 0,
+      s"$tiedBest of $nodes nodes with a tied best edge, $tiedLikelihoods tied likelihoods")
   }
 
   private def fullIndex(pc: ProfileCollection): ProfileIndex =

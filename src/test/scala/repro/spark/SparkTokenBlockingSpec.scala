@@ -1,6 +1,5 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.PaperExample
 import repro.blocking.{BlockFiltering, BlockPurging, TokenBlocking}
