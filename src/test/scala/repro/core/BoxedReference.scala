@@ -9,6 +9,33 @@ import scala.collection.mutable
   */
 object BoxedReference {
 
+  /** The tuple ordering the hand-written `Comparison.byDescendingWeight`
+    * replaced.
+    */
+  val byDescendingWeight: Ordering[Comparison] =
+    Ordering.by((c: Comparison) => (-c.weight, c.i, c.j))
+
+  /** The sort-based rank the hash dictionary of `RankSort.rank` replaced:
+    * the first `n` doubles ranked in `java.lang.Double.compare` order.
+    */
+  def rank(xs: Array[Double], n: Int): (Array[Int], Array[Double]) = {
+    val distinct = java.util.Arrays.copyOf(xs, n)
+    java.util.Arrays.parallelSort(distinct)
+    var d = 0
+    var k = 0
+    while (k < n) {
+      if (d == 0 || java.lang.Double.compare(distinct(d - 1), distinct(k)) != 0) {
+        distinct(d) = distinct(k)
+        d += 1
+      }
+      k += 1
+    }
+    val ranks = new Array[Int](n)
+    k = 0
+    while (k < n) { ranks(k) = java.util.Arrays.binarySearch(distinct, 0, d, xs(k)); k += 1 }
+    (ranks, java.util.Arrays.copyOf(distinct, d))
+  }
+
   private val NonAlphanumeric = java.util.regex.Pattern.compile("[^a-z0-9]+")
 
   /** The regex split the char-run tokenizer replaced. */
@@ -93,12 +120,12 @@ object BoxedReference {
         var sum = 0.0
         for ((_, w) <- nbrs) sum += w
         likelihood += ((i, sum / nbrs.size))
-        val best = nbrs.map { case (j, w) => Comparison.of(i, j, w) }.min(Comparison.byDescendingWeight)
+        val best = nbrs.map { case (j, w) => Comparison.of(i, j, w) }.min(byDescendingWeight)
         if (!top.contains(best.pair)) top.update(best.pair, best)
       }
     }
     val init = PPS.Init(
-      top.values.toVector.sorted(Comparison.byDescendingWeight),
+      top.values.toVector.sorted(byDescendingWeight),
       likelihood.sortBy { case (id, dl) => (-dl, id) }.map(_._1).toVector)
     val emittedAtInit = init.topComparisons.map(_.pair).toSet
     val checked = mutable.HashSet.empty[Int]
@@ -107,7 +134,7 @@ object BoxedReference {
       neighborhood(pc, pi, i).toVector
         .collect { case (j, w) if !checked.contains(j) => Comparison.of(i, j, w) }
         .filterNot(c => emittedAtInit.contains(c.pair))
-        .sorted(Comparison.byDescendingWeight)
+        .sorted(byDescendingWeight)
         .take(kMax)
     }
     (init, stream)

@@ -54,6 +54,12 @@ class GSPSNSpec extends SparkSpec {
     assert(first3.count(PaperExample.gt.pairs.contains) >= 2)
   }
 
+  test("wMax below 1 is rejected at construction") {
+    // wMax < 0 made the scan allocate a negative-size array; wMax = 0 emitted nothing
+    for (wMax <- Seq(0, -1, Int.MinValue))
+      intercept[IllegalArgumentException](new GSPSN(pc, nl, wMax))
+  }
+
   test("effectiveWMax honors the comparison budget") {
     val capped = new GSPSN(pc, nl, wMax = 10, maxComparisons = 3L * nl.size)
     assert(capped.effectiveWMax === 3)

@@ -84,7 +84,7 @@ class PropertySpec extends SparkSpec {
       freq.iterator.map { case (j, f) =>
         Comparison.of(i, j, Rcf.weight(f, lenI, nl.positionsOf(j).length, wHi - wLo + 1))
       }
-    }.toVector.sorted(Comparison.byDescendingWeight)
+    }.toVector.sorted(BoxedReference.byDescendingWeight)
 
   /** Pairs and raw weight bits, so that -0.0 ≠ 0.0 and NaNs compare. */
   private def exact(cs: Seq[Comparison]): Seq[(Int, Int, Long)] =
@@ -105,6 +105,116 @@ class PropertySpec extends SparkSpec {
       val weights = cs.map(_.weight).toArray ++ Array(Double.NaN, 2.0)
       val sorted = ComparisonList.sorted(pairs, weights, cs.size)
       assert(exact(sorted) === exact(cs.sorted(Comparison.byDescendingWeight)), cs)
+    }
+  }
+
+  /** Ties, signed zeros, NaN (canonical or not), infinities and
+    * subnormals, among arbitrary doubles.
+    */
+  private val anyDoubleGen: Gen[Double] = Gen.frequency(
+    3 -> Gen.oneOf(0.0, -0.0, 0.5, 1.0, -1.0, Double.PositiveInfinity, Double.NegativeInfinity),
+    2 -> Gen.oneOf(0x7ff8000000000000L, 0xfff8000000000000L, 0x7ff0000000000001L, 0x7ff80000000000ffL)
+      .map(java.lang.Double.longBitsToDouble),
+    1 -> Gen.oneOf(Double.MinPositiveValue, -Double.MinPositiveValue, java.lang.Double.MIN_NORMAL / 3),
+    2 -> Gen.choose(-1e6, 1e6))
+
+  test("the hand-written descending-weight ordering equals the tuple ordering") {
+    val gen = Gen.listOf(for {
+      i <- Gen.choose(0, 4)
+      j <- Gen.choose(i + 1, 5)
+      w <- anyDoubleGen
+    } yield Comparison(i, j, w))
+    for (cs <- samples(gen, 200)) {
+      assert(exact(cs.sorted(Comparison.byDescendingWeight)) === exact(cs.sorted(BoxedReference.byDescendingWeight)), cs)
+      for (a <- cs; b <- cs)
+        assert(Integer.signum(Comparison.byDescendingWeight.compare(a, b)) ===
+          Integer.signum(BoxedReference.byDescendingWeight.compare(a, b)), (a, b))
+    }
+  }
+
+  test("RankSort.rank equals the sort-based rank, spare capacity past n included") {
+    val gen = for {
+      xs    <- Gen.listOf(anyDoubleGen)
+      spare <- Gen.listOf(anyDoubleGen)
+    } yield (xs.toArray ++ spare, xs.size)
+    for ((xs, n) <- samples(gen, 300)) {
+      val (ranks, distinct) = RankSort.rank(xs, n)
+      val (expectedRanks, expectedDistinct) = BoxedReference.rank(xs, n)
+      val clue = xs.take(n).map(java.lang.Double.doubleToRawLongBits).toSeq
+      assert(ranks.toSeq === expectedRanks.toSeq, clue)
+      // NaNs form one class; which NaN represents it is not part of the order
+      assert(distinct.map(java.lang.Double.doubleToLongBits).toSeq ===
+        expectedDistinct.map(java.lang.Double.doubleToLongBits).toSeq, clue)
+    }
+  }
+
+  /** The same Comparison List, freshly built (no run sorted yet), read in
+    * each of the ways a consumer can read it.
+    */
+  private def everyReading(fresh: () => ComparisonList): Seq[(String, Seq[Comparison])] = {
+    val shuffled = {
+      val list = fresh()
+      val out = new Array[Comparison](list.length)
+      for (k <- new scala.util.Random(7).shuffle(list.indices.toVector)) out(k) = list(k)
+      out.toSeq
+    }
+    val reversed = {
+      val list = fresh()
+      list.indices.reverse.map(list(_)).reverse
+    }
+    val interleaved = {
+      val list = fresh()
+      val (a, b) = (list.iterator, list.iterator)
+      val (outA, outB) = (Vector.newBuilder[Comparison], Vector.newBuilder[Comparison])
+      while (a.hasNext) {
+        outA += a.next()
+        if (b.hasNext) outB += b.next()
+        if (b.hasNext) outB += b.next()
+      }
+      assert(!b.hasNext)
+      Seq(outA.result(), outB.result())
+    }
+    val concurrent = {
+      val list = fresh()
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val read = Array.fill(4)(Vector.empty[Comparison])
+      val threads = (0 until 4).map { t =>
+        new Thread(() => {
+          start.await()
+          read(t) = if (t % 2 == 0) list.iterator.toVector else list.indices.reverse.map(list(_)).reverse.toVector
+        })
+      }
+      threads.foreach(_.start())
+      start.countDown()
+      threads.foreach(_.join())
+      read.toSeq
+    }
+    Seq("apply, shuffled" -> shuffled, "apply, reversed" -> reversed, "iterator" -> fresh().iterator.toVector) ++
+      interleaved.map("interleaved iterators" -> _) ++ concurrent.map("concurrent readers" -> _)
+  }
+
+  test("the lazily sorted Comparison List reads the same in every order and from every thread") {
+    val allDistinct = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, k * 0.37))
+    val oneWeight = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, 0.5))
+    val manyRuns = (0 until 3000).map(k => Comparison(k / 60, 60 + k % 60, ((k * 7919) % 13) / 4.0))
+    val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns)
+    for (cs <- inputs) {
+      val shuffled = new scala.util.Random(cs.size).shuffle(cs)
+      val fresh = () => ComparisonList.sorted(
+        shuffled.map(c => c.i.toLong << 32 | c.j).toArray, shuffled.map(_.weight).toArray, cs.size)
+      val expected = exact(cs.sorted(Comparison.byDescendingWeight))
+      for ((how, read) <- everyReading(fresh))
+        assert(exact(read) === expected, s"$how, n=${cs.size}")
+    }
+  }
+
+  test("the window scan equals the reference scan for any cut into ranges") {
+    for (pc <- anyCollections ++ samples(collectionGen, 20) :+ PaperExample.pc) {
+      val nl = NeighborList.build(pc)
+      for ((wLo, wHi) <- Seq((1, 1), (2, 2), (1, 3), (1, nl.size + 1));
+           ranges <- Seq(1, 2, 3, 7, pc.source1Ids.size).filter(_ >= 1).distinct)
+        assert(exact(WindowScan.comparisons(pc, nl, wLo, wHi, ranges)) === exact(referenceScan(pc, nl, wLo, wHi)),
+          s"${pc.erType} |P|=${pc.size} windows=[$wLo, $wHi] ranges=$ranges")
     }
   }
 
