@@ -1,6 +1,6 @@
 package repro.blocking
 
-import repro.core.{CleanCleanEr, DirtyEr, ProfileCollection}
+import repro.core.{CleanCleanEr, DirtyEr, ProfileCollection, RankSort}
 
 /** A block: the set of profiles indexed under one blocking key.
   *
@@ -48,7 +48,13 @@ object Block {
   }
 }
 
-/** An ordered block collection B with aggregate statistics (Sec. 3). */
+/** An ordered block collection B with aggregate statistics (Sec. 3).
+  *
+  * The blocks are in ascending key order, keys distinct: the block builder
+  * (`TokenIndex.blocks`) emits them so, and Block Purging and Block
+  * Filtering only drop blocks or members, which keeps it. A block's index is
+  * therefore its rank by key.
+  */
 final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
 
   /** |B| — number of blocks. */
@@ -61,19 +67,17 @@ final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
   def meanBlockSize: Double =
     if (blocks.isEmpty) 0.0 else blocks.iterator.map(_.size.toLong).sum.toDouble / blocks.size
 
-  /** Block indices in non-decreasing (cardinality, key), ties in index order
-    * — the smallest-first order of Block Filtering and of the Profile Index —
-    * and every block's cardinality, by index.
+  /** Block indices in non-decreasing (cardinality, key) — the smallest-first
+    * order of Block Filtering, of the Profile Index and of every SA-PSAB
+    * layer — and every block's cardinality, by index. The cardinalities are
+    * ranked and the block indices sorted within each rank: since the blocks
+    * are in key order, the index is the key tie-break.
     */
   def cardinalityOrder: (Array[Int], Array[Long]) = {
     val cards = new Array[Long](blocks.size)
     for (k <- cards.indices) cards(k) = blocks(k).cardinality(pc)
-    val order = Array.range(0, blocks.size).sorted(new Ordering[Int] {
-      def compare(a: Int, b: Int): Int = {
-        val c = java.lang.Long.compare(cards(a), cards(b))
-        if (c != 0) c else blocks(a).key.compareTo(blocks(b).key)
-      }
-    })
-    (order, cards)
+    val (rank, nRanks) = RankSort.rank(cards)
+    val (order, _) = RankSort.sort(rank, nRanks, Array.tabulate(blocks.size)(_.toLong))
+    (order.map(_.toInt), cards)
   }
 }

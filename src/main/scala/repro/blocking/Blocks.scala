@@ -4,72 +4,108 @@ import java.util.Arrays
 import repro.core.{ProfileCollection, Tokenizer}
 import scala.collection.mutable
 
-/** The one block builder of the equality-based methods: Token Blocking keys
-  * every profile by its tokens, SA-PSAB by their suffixes.
+/** The tokens of a profile collection, indexed once for any number of block
+  * builds: the distinct tokens in first-seen order, and every profile's
+  * token ids in profile order.
+  *
+  * It holds the one block builder of the equality-based methods: Token
+  * Blocking keys every profile by its tokens, each SA-PSAB layer by their
+  * suffixes of one length.
   */
-object Blocks {
+final class TokenIndex private (
+    pc: ProfileCollection,
+    val tokens: Array[String],
+    start: Array[Int],
+    tokenIds: Array[Int]) {
 
-  /** The blocks of `pc` under the blocking keys `keysOf(token)` of every
-    * profile token, in key order.
+  /** The blocks of the keys `keysOf(token)` of every profile token, in key
+    * order.
     *
     * A block holds the ascending, distinct ids of the profiles with at least
     * one token yielding its key; blocks without an executable comparison
     * (`Block.cardinality` 0) are dropped. `keysOf` runs once per distinct
-    * token. Every membership is packed as `keyId << 32 | profileId`, so one
-    * sort of a `Long` array groups the blocks, each in ascending profile id.
+    * token. The memberships are grouped by a counting sort on the key id:
+    * visited in profile order, every block's ids come out ascending, a
+    * profile's repeats adjacent.
     */
-  def fromTokens(pc: ProfileCollection)(keysOf: String => Seq[String]): BlockCollection = {
-    val tokenIds = new java.util.HashMap[String, Integer]
+  def blocks(keysOf: String => Seq[String]): BlockCollection = {
     val keyIds = new java.util.HashMap[String, Integer]
     val keys = mutable.ArrayBuffer.empty[String]
-    // the key ids of token t: tokenKeys(tokenStart(t) until tokenStart(t + 1))
-    val tokenStart = mutable.ArrayBuilder.make[Int]
-    val tokenKeys = mutable.ArrayBuilder.make[Int]
-    tokenStart += 0
-    val placedToken = mutable.ArrayBuilder.make[Int]
-    val placedProfile = mutable.ArrayBuilder.make[Int]
-    for (p <- pc.profiles; tok <- Tokenizer.profileKeys(p)) {
-      var t = tokenIds.get(tok)
-      if (t == null) {
-        t = tokenIds.size
-        tokenIds.put(tok, t)
-        for (key <- keysOf(tok)) {
-          var k = keyIds.get(key)
-          if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
-          tokenKeys += k
-        }
-        tokenStart += tokenKeys.length
+    // the key ids of token t: keyOf(keyStart(t) until keyStart(t + 1))
+    val keyStart = new Array[Int](tokens.length + 1)
+    val keysOfToken = mutable.ArrayBuilder.make[Int]
+    for (t <- tokens.indices) {
+      for (key <- keysOf(tokens(t))) {
+        var k = keyIds.get(key)
+        if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
+        keysOfToken += k
       }
-      placedToken += t
-      placedProfile += p.id
+      keyStart(t + 1) = keysOfToken.length
     }
-    val start = tokenStart.result()
-    val keysOfToken = tokenKeys.result()
-    val token = placedToken.result()
-    val profile = placedProfile.result()
-    var size = 0
-    for (t <- token) size += start(t + 1) - start(t)
-    val packed = new Array[Long](size)
-    var m = 0
-    for (x <- token.indices) {
-      var y = start(token(x))
-      while (y < start(token(x) + 1)) { packed(m) = (keysOfToken(y).toLong << 32) | profile(x); m += 1; y += 1 }
-    }
-    Arrays.sort(packed)
+    val keyOf = keysOfToken.result()
 
-    val survivors = mutable.ArrayBuffer.empty[Block]
-    val ids = new Array[Int](pc.size)
-    var at = 0
-    while (at < packed.length) {
-      val key = (packed(at) >>> 32).toInt
-      var n = 0
-      while (at < packed.length && (packed(at) >>> 32).toInt == key) {
-        val id = packed(at).toInt
-        if (n == 0 || ids(n - 1) != id) { ids(n) = id; n += 1 }
-        at += 1
-      }
-      if (Block.cardinality(pc, ids, n) > 0) survivors += Block(keys(key), Arrays.copyOf(ids, n))
+    // block k's memberships: members(blockStart(k) until blockStart(k + 1))
+    val blockStart = new Array[Int](keys.size + 1)
+    var x = 0
+    while (x < tokenIds.length) {
+      var y = keyStart(tokenIds(x))
+      while (y < keyStart(tokenIds(x) + 1)) { blockStart(keyOf(y) + 1) += 1; y += 1 }
+      x += 1
     }
-    BlockCollection(survivors.sortBy(_.key).toVector, pc)
+    var k = 0
+    while (k < keys.size) { blockStart(k + 1) += blockStart(k); k += 1 }
+    val next = Arrays.copyOf(blockStart, keys.size)
+    val members = new Array[Int](blockStart(keys.size))
+    var p = 0
+    while (p < pc.size) {
+      x = start(p)
+      while (x < start(p + 1)) {
+        var y = keyStart(tokenIds(x))
+        while (y < keyStart(tokenIds(x) + 1)) { members(next(keyOf(y))) = p; next(keyOf(y)) += 1; y += 1 }
+        x += 1
+      }
+      p += 1
+    }
+
+    val profilesOf = new Array[Array[Int]](keys.size)
+    val survivors = mutable.ArrayBuffer.empty[String]
+    val ids = new Array[Int](pc.size)
+    k = 0
+    while (k < keys.size) {
+      var n = 0
+      x = blockStart(k)
+      while (x < blockStart(k + 1)) {
+        if (n == 0 || ids(n - 1) != members(x)) { ids(n) = members(x); n += 1 }
+        x += 1
+      }
+      if (Block.cardinality(pc, ids, n) > 0) { profilesOf(k) = Arrays.copyOf(ids, n); survivors += keys(k) }
+      k += 1
+    }
+    val blocks = survivors.toArray.sorted.iterator.map(key => Block(key, profilesOf(keyIds.get(key))))
+    BlockCollection(blocks.toVector, pc)
+  }
+}
+
+object TokenIndex {
+
+  /** Index the tokens of `pc`.
+    *
+    * `tokens` are the distinct tokens in first-seen order; the token ids of
+    * profile p are `tokenIds(start(p) until start(p + 1))`.
+    */
+  def apply(pc: ProfileCollection): TokenIndex = {
+    val ids = new java.util.HashMap[String, Integer]
+    val tokens = mutable.ArrayBuffer.empty[String]
+    val tokenIds = mutable.ArrayBuilder.make[Int]
+    val start = new Array[Int](pc.size + 1)
+    for (p <- pc.profiles) {
+      for (tok <- Tokenizer.profileKeys(p)) {
+        var t = ids.get(tok)
+        if (t == null) { t = tokens.size; ids.put(tok, t); tokens += tok }
+        tokenIds += t
+      }
+      start(p.id + 1) = tokenIds.length
+    }
+    new TokenIndex(pc, tokens.toArray, start, tokenIds.result())
   }
 }

@@ -83,17 +83,6 @@ object ComparisonList {
     }
   }
 
-  /** Sort the first `n` (packed pair, weight) entries; pairs must be
-    * distinct.
-    */
-  private[core] def sorted(pairs: Array[Long], weights: Array[Double], n: Int): ComparisonList = {
-    val dictionary = new RankSort.Dictionary
-    val ids = new Array[Int](n)
-    var k = 0
-    while (k < n) { ids(k) = dictionary.id(-weights(k)); k += 1 }
-    of(Seq(new Part(pairs, ids, n, dictionary)))
-  }
-
   /** The list of the comparisons of every part; no pair may occur twice.
     * The distinct weights are ranked through one dictionary, and every part
     * counting-sorts its pairs by rank into its own slots of each run, in

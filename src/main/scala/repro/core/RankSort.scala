@@ -3,15 +3,16 @@ package repro.core
 import java.util.Arrays
 
 /** The one sort behind the Neighbor List, the LS-PSN / GS-PSN Comparison
-  * Lists and the PPS Sorted Profile List: primitive keys only, no comparator,
-  * and a total order, so the result is fully determined by the input.
+  * Lists, the PPS Sorted Profile List and the cardinality order of blocks:
+  * primitive keys only, no comparator, and a total order, so the result is
+  * fully determined by the input.
   *
   * Each element has a primary key, ranked densely through a sorted
   * dictionary of its distinct values, and a unique `Long` payload that
   * breaks ties. The elements are counting-sorted by rank, then every rank's
   * run of payloads is sorted ascending: the order (rank, payload).
   */
-private[core] object RankSort {
+private[repro] object RankSort {
 
   /** Sort the first `rank.length` elements.
     *
@@ -56,6 +57,25 @@ private[core] object RankSort {
     k = 0
     while (k < n) { ranks(k) = rankOfId(ranks(k)); k += 1 }
     (ranks, distinct)
+  }
+
+  /** Rank the longs `xs` densely in ascending order.
+    *
+    * @return each value's rank and the number of distinct values
+    */
+  def rank(xs: Array[Long]): (Array[Int], Int) = {
+    val distinct = xs.clone()
+    Arrays.sort(distinct)
+    var d = 0
+    var k = 0
+    while (k < distinct.length) {
+      if (d == 0 || distinct(d - 1) != distinct(k)) { distinct(d) = distinct(k); d += 1 }
+      k += 1
+    }
+    val ranks = new Array[Int](xs.length)
+    k = 0
+    while (k < xs.length) { ranks(k) = Arrays.binarySearch(distinct, 0, d, xs(k)); k += 1 }
+    (ranks, d)
   }
 
   /** The distinct doubles seen so far, each with a dense id in first-seen

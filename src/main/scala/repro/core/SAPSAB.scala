@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.blocking.{Block, Blocks}
+import repro.blocking.{Block, TokenIndex}
 
 /** Schema-Agnostic Progressive Suffix Arrays Blocking (Sec. 4.2) — naïve #2.
   *
@@ -13,9 +13,14 @@ import repro.blocking.{Block, Blocks}
   * valid pairs are emitted; repeated comparisons across blocks are NOT
   * detected (naïve method).
   *
-  * `lMin` is the method's only configuration parameter.
+  * The forest is built one layer (suffix length) at a time, from the longest
+  * token down to `lMin`, when the stream first reaches the layer: the first
+  * emission costs the layers down to the first one holding a comparison.
+  *
+  * `lMin` is the method's only configuration parameter, at least 1.
   */
 final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMethod {
+  require(lMin >= 1, s"SA-PSAB needs lMin >= 1: got $lMin")
   val name = "SA-PSAB"
 
   /** One node of the suffix forest: the suffix and the profiles it indexes. */
@@ -23,25 +28,42 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
     def cardinality: Long = Block.cardinality(pc, profiles, profiles.length)
   }
 
-  /** All suffix blocks with at least one executable comparison, in processing
-    * order (leaves of the lowest layer first): the key-ordered suffix blocks,
-    * stable-sorted by (non-increasing length, non-decreasing cardinality).
+  private lazy val index = TokenIndex(pc)
+
+  /** The length of the longest token: the lowest layer of the forest. */
+  private lazy val longest = index.tokens.iterator.map(_.length).maxOption.getOrElse(0)
+
+  // layers(l): the suffix blocks of length l in processing order, once built
+  private lazy val layers = new Array[Vector[SuffixBlock]](longest + 1)
+  private var built = 0
+
+  /** The number of layers built so far. */
+  private[repro] def layersBuilt: Int = synchronized(built)
+
+  /** The suffix blocks of length `l` with at least one executable
+    * comparison, in non-decreasing (cardinality, suffix), built once under
+    * the method's lock.
     */
-  lazy val orderedBlocks: Vector[SuffixBlock] = {
-    val blocks = Blocks.fromTokens(pc)(SAPSAB.suffixes(_, lMin)).blocks
-    val length = blocks.iterator.map(_.key.length).toArray
-    val card = blocks.iterator.map(_.cardinality(pc)).toArray
-    val order = Array.range(0, blocks.size).sorted(new Ordering[Int] {
-      def compare(a: Int, b: Int): Int = {
-        val c = Integer.compare(length(b), length(a))
-        if (c != 0) c else java.lang.Long.compare(card(a), card(b))
-      }
-    })
-    order.iterator.map(k => new SuffixBlock(blocks(k).key, blocks(k).profiles)).toVector
+  private def layer(l: Int): Vector[SuffixBlock] = synchronized {
+    if (layers(l) == null) {
+      val bc = index.blocks(t => if (t.length >= l) Seq(t.substring(t.length - l)) else Nil)
+      val (order, _) = bc.cardinalityOrder
+      layers(l) = order.iterator.map(bc.blocks).map(b => new SuffixBlock(b.key, b.profiles)).toVector
+      built += 1
+    }
+    layers(l)
   }
 
+  /** Every layer's blocks, from the longest suffixes down to `lMin`. */
+  private def blocks: Iterator[SuffixBlock] = Iterator.range(longest, lMin - 1, -1).flatMap(layer(_).iterator)
+
+  /** All suffix blocks with at least one executable comparison, in processing
+    * order (leaves of the lowest layer first): every layer, concatenated.
+    */
+  lazy val orderedBlocks: Vector[SuffixBlock] = blocks.toVector
+
   def emissions: Iterator[Comparison] =
-    orderedBlocks.iterator.flatMap { b =>
+    blocks.flatMap { b =>
       Block.pairs(pc, b.profiles).map { case (i, j) => Comparison.of(i, j) }
     }
 }

@@ -98,12 +98,21 @@ class PropertySpec extends SparkSpec {
     weights <- Gen.listOfN(pairs.size, Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, 0.5, 1.0))
   } yield pairs.distinct.zip(weights).map { case ((i, j), w) => Comparison(i, j, w) }.toVector
 
+  /** The Comparison List of the first `n` (packed pair, weight) entries,
+    * built as one window-scan part; pairs must be distinct.
+    */
+  private def listOf(pairs: Array[Long], weights: Array[Double], n: Int): ComparisonList = {
+    val negatedWeights = new RankSort.Dictionary
+    val ids = Array.tabulate(n)(k => negatedWeights.id(-weights(k)))
+    ComparisonList.of(Seq(new ComparisonList.Part(pairs, ids, n, negatedWeights)))
+  }
+
   test("the Comparison List sorts by descending weight in raw bits, signed zeros and NaN included") {
     for (cs <- samples(weightedPairsGen, 200)) {
       // spare capacity past n, as the window scan leaves it
       val pairs = cs.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L)
       val weights = cs.map(_.weight).toArray ++ Array(Double.NaN, 2.0)
-      val sorted = ComparisonList.sorted(pairs, weights, cs.size)
+      val sorted = listOf(pairs, weights, cs.size)
       assert(exact(sorted) === exact(cs.sorted(Comparison.byDescendingWeight)), cs)
     }
   }
@@ -200,7 +209,7 @@ class PropertySpec extends SparkSpec {
     val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns)
     for (cs <- inputs) {
       val shuffled = new scala.util.Random(cs.size).shuffle(cs)
-      val fresh = () => ComparisonList.sorted(
+      val fresh = () => listOf(
         shuffled.map(c => c.i.toLong << 32 | c.j).toArray, shuffled.map(_.weight).toArray, cs.size)
       val expected = exact(cs.sorted(Comparison.byDescendingWeight))
       for ((how, read) <- everyReading(fresh))
@@ -299,10 +308,80 @@ class PropertySpec extends SparkSpec {
     }
   }
 
+  /** The stream of the boxed suffix blocks: every block's valid pairs in
+    * (i, j) order, blocks in processing order.
+    */
+  private def boxedSuffixStream(pc: ProfileCollection, lMin: Int): Vector[Comparison] =
+    for {
+      (_, ids) <- BoxedReference.suffixBlocks(pc, lMin)
+      x <- ids.indices.toVector
+      y <- x + 1 until ids.length
+      if pc.validPair(ids(x), ids(y))
+    } yield Comparison(ids(x), ids(y), 0.0)
+
+  /** Profiles whose every token is shorter than 4 characters. */
+  private val shortTokens = ProfileCollection(
+    Vector("ab cd", "ab cd efg", "efg x", "", "x ab").zipWithIndex.map { case (v, i) => Profile(i, 0, Vector("v" -> v)) },
+    DirtyEr)
+
+  test("SA-PSAB's stream equals the stream of the boxed suffix blocks") {
+    for (pc <- blockingCollections :+ shortTokens; lMin <- Seq(1, 2, 4))
+      assert(exact(new SAPSAB(pc, lMin).emissions.toVector) === exact(boxedSuffixStream(pc, lMin)),
+        s"${pc.erType} |P|=${pc.size} lMin=$lMin")
+    assert(new SAPSAB(shortTokens, 4).emissions.isEmpty)
+    assert(new SAPSAB(shortTokens, 2).emissions.nonEmpty)
+  }
+
+  test("SA-PSAB's first emission builds only the layers down to the first non-empty one") {
+    var checked = 0
+    for (pc <- blockingCollections :+ shortTokens; lMin <- Seq(1, 2, 4)) {
+      val longest = Tokenizer.placements(pc).map(_._1.length).maxOption.getOrElse(0)
+      val m = new SAPSAB(pc, lMin)
+      val it = m.emissions
+      val clue = s"${pc.erType} |P|=${pc.size} lMin=$lMin"
+      assert(m.layersBuilt === 0, clue)
+      BoxedReference.suffixBlocks(pc, lMin).headOption match {
+        case Some((suffix, _)) =>
+          it.next()
+          assert(m.layersBuilt === longest - suffix.length + 1, clue)
+          checked += 1
+        case None =>
+          assert(!it.hasNext, clue)
+          assert(m.layersBuilt === math.max(0, longest - lMin + 1), clue)
+      }
+    }
+    assert(checked > 0)
+  }
+
+  test("interleaved SA-PSAB iterators and the ordered blocks agree") {
+    for (pc <- blockingCollections; lMin <- Seq(1, 2, 4)) {
+      val m = new SAPSAB(pc, lMin)
+      val (a, b) = (m.emissions, m.emissions)
+      val (outA, outB) = (Vector.newBuilder[Comparison], Vector.newBuilder[Comparison])
+      while (a.hasNext) {
+        outA += a.next()
+        if (b.hasNext) outB += b.next()
+        if (b.hasNext) outB += b.next()
+      }
+      assert(!b.hasNext)
+      val fromBlocks = m.orderedBlocks.flatMap(blk => Block.pairs(pc, blk.profiles).map { case (i, j) => Comparison(i, j, 0.0) })
+      val clue = s"${pc.erType} |P|=${pc.size} lMin=$lMin"
+      assert(exact(outA.result()) === exact(fromBlocks), clue)
+      assert(exact(outB.result()) === exact(fromBlocks), clue)
+    }
+  }
+
   /** Token blocks, purged token blocks and the full workflow's blocks. */
   private def blockInputs(pc: ProfileCollection): Seq[BlockCollection] = {
     val tb = TokenBlocking.build(pc)
     Seq(tb, BlockPurging.purge(tb, 0.5), BlockFiltering.filter(BlockPurging.purge(tb, 0.5), 0.8))
+  }
+
+  test("the block builder, purging and filtering keep the blocks in ascending key order") {
+    for (pc <- blockingCollections; bc <- blockInputs(pc)) {
+      val keys = bc.blocks.map(_.key)
+      assert(keys.zip(keys.drop(1)).forall { case (a, b) => a < b }, s"${pc.erType} |P|=${pc.size}")
+    }
   }
 
   test("Block Filtering equals the boxed filter") {

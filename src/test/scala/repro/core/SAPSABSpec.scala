@@ -70,4 +70,11 @@ class SAPSABSpec extends SparkSpec {
     val coarse = new SAPSAB(pc, lMin = 5)
     assert(coarse.orderedBlocks.size <= m.orderedBlocks.size)
   }
+
+  test("lMin below 1 is rejected at construction") {
+    // at 0 the empty suffix would block every profile together; below 0
+    // there is no suffix of that length
+    for (lMin <- Seq(0, -1, Int.MinValue))
+      assertThrows[IllegalArgumentException](new SAPSAB(pc, lMin))
+  }
 }
