@@ -10,7 +10,7 @@ import scala.collection.mutable
   *
   * It holds the one block builder of the equality-based methods: Token
   * Blocking keys every profile by its tokens, each SA-PSAB layer by their
-  * suffixes of one length.
+  * suffixes of one length — at most one key per token.
   */
 final class TokenIndex private (
     pc: ProfileCollection,
@@ -18,62 +18,42 @@ final class TokenIndex private (
     start: Array[Int],
     tokenIds: Array[Int]) {
 
-  /** The blocks of the keys `keysOf(token)` of every profile token, in key
-    * order.
+  /** The blocks of the key `keyOf(token)` of every profile token (none
+    * where it is `None`), in key order.
     *
     * A block holds the ascending, distinct ids of the profiles with at least
     * one token yielding its key; blocks without an executable comparison
-    * (`Block.cardinality` 0) are dropped. `keysOf` runs once per distinct
+    * (`Block.cardinality` 0) are dropped. `keyOf` runs once per distinct
     * token. The memberships are grouped by a counting sort on the key id:
     * visited in profile order, every block's ids come out ascending, a
     * profile's repeats adjacent.
     */
-  def blocks(keysOf: String => Seq[String]): BlockCollection = {
+  def blocks(keyOf: String => Option[String]): BlockCollection = {
     val keyIds = new java.util.HashMap[String, Integer]
     val keys = mutable.ArrayBuffer.empty[String]
-    // the key ids of token t: keyOf(keyStart(t) until keyStart(t + 1))
-    val keyStart = new Array[Int](tokens.length + 1)
-    val keysOfToken = mutable.ArrayBuilder.make[Int]
-    for (t <- tokens.indices) {
-      for (key <- keysOf(tokens(t))) {
-        var k = keyIds.get(key)
-        if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
-        keysOfToken += k
+    // the key id of every token, -1 for none
+    val tokenKey = new Array[Int](tokens.length)
+    var t = 0
+    while (t < tokens.length) {
+      tokenKey(t) = keyOf(tokens(t)) match {
+        case Some(key) =>
+          var k = keyIds.get(key)
+          if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
+          k
+        case None => -1
       }
-      keyStart(t + 1) = keysOfToken.length
+      t += 1
     }
-    val keyOf = keysOfToken.result()
 
-    // block k's memberships: members(blockStart(k) until blockStart(k + 1))
-    val blockStart = new Array[Int](keys.size + 1)
-    var x = 0
-    while (x < tokenIds.length) {
-      var y = keyStart(tokenIds(x))
-      while (y < keyStart(tokenIds(x) + 1)) { blockStart(keyOf(y) + 1) += 1; y += 1 }
-      x += 1
-    }
-    var k = 0
-    while (k < keys.size) { blockStart(k + 1) += blockStart(k); k += 1 }
-    val next = Arrays.copyOf(blockStart, keys.size)
-    val members = new Array[Int](blockStart(keys.size))
-    var p = 0
-    while (p < pc.size) {
-      x = start(p)
-      while (x < start(p + 1)) {
-        var y = keyStart(tokenIds(x))
-        while (y < keyStart(tokenIds(x) + 1)) { members(next(keyOf(y))) = p; next(keyOf(y)) += 1; y += 1 }
-        x += 1
-      }
-      p += 1
-    }
+    val (members, blockStart) = group(tokenKey, keys.size)
 
     val profilesOf = new Array[Array[Int]](keys.size)
     val survivors = mutable.ArrayBuffer.empty[String]
     val ids = new Array[Int](pc.size)
-    k = 0
+    var k = 0
     while (k < keys.size) {
       var n = 0
-      x = blockStart(k)
+      var x = blockStart(k)
       while (x < blockStart(k + 1)) {
         if (n == 0 || ids(n - 1) != members(x)) { ids(n) = members(x); n += 1 }
         x += 1
@@ -83,6 +63,37 @@ final class TokenIndex private (
     }
     val blocks = survivors.toArray.sorted.iterator.map(key => Block(key, profilesOf(keyIds.get(key))))
     BlockCollection(blocks.toVector, pc)
+  }
+
+  /** The memberships of the keys `tokenKey(t)` (-1 for none) of every
+    * placement, counting-sorted on the key id: block k's are
+    * `members(blockStart(k) until blockStart(k + 1))`.
+    *
+    * @return the members and the block starts
+    */
+  private def group(tokenKey: Array[Int], nKeys: Int): (Array[Int], Array[Int]) = {
+    val blockStart = new Array[Int](nKeys + 1)
+    var x = 0
+    while (x < tokenIds.length) {
+      val k = tokenKey(tokenIds(x))
+      if (k >= 0) blockStart(k + 1) += 1
+      x += 1
+    }
+    var k = 0
+    while (k < nKeys) { blockStart(k + 1) += blockStart(k); k += 1 }
+    val next = Arrays.copyOf(blockStart, nKeys)
+    val members = new Array[Int](blockStart(nKeys))
+    var p = 0
+    while (p < pc.size) {
+      x = start(p)
+      while (x < start(p + 1)) {
+        val k = tokenKey(tokenIds(x))
+        if (k >= 0) { members(next(k)) = p; next(k) += 1 }
+        x += 1
+      }
+      p += 1
+    }
+    (members, blockStart)
   }
 }
 

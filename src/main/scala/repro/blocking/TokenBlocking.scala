@@ -16,5 +16,5 @@ object TokenBlocking {
     * Clean-clean ER. Blocks are returned in deterministic key order.
     */
   def build(pc: ProfileCollection): BlockCollection =
-    TokenIndex(pc).blocks(Seq(_))
+    TokenIndex(pc).blocks(Some(_))
 }

@@ -46,7 +46,7 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
     */
   private def layer(l: Int): Vector[SuffixBlock] = synchronized {
     if (layers(l) == null) {
-      val bc = index.blocks(t => if (t.length >= l) Seq(t.substring(t.length - l)) else Nil)
+      val bc = index.blocks(t => if (t.length >= l) Some(t.substring(t.length - l)) else None)
       val (order, _) = bc.cardinalityOrder
       layers(l) = order.iterator.map(bc.blocks).map(b => new SuffixBlock(b.key, b.profiles)).toVector
       built += 1

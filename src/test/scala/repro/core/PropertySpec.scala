@@ -321,7 +321,9 @@ class PropertySpec extends SparkSpec {
 
   /** Profiles whose every token is shorter than 4 characters. */
   private val shortTokens = ProfileCollection(
-    Vector("ab cd", "ab cd efg", "efg x", "", "x ab").zipWithIndex.map { case (v, i) => Profile(i, 0, Vector("v" -> v)) },
+    Vector("ab cd", "ab cd efg", "efg x", "", "x ab").zipWithIndex.map { case (v, i) =>
+      Profile(i, 0, Vector("v" -> v))
+    },
     DirtyEr)
 
   test("SA-PSAB's stream equals the stream of the boxed suffix blocks") {
@@ -364,7 +366,9 @@ class PropertySpec extends SparkSpec {
         if (b.hasNext) outB += b.next()
       }
       assert(!b.hasNext)
-      val fromBlocks = m.orderedBlocks.flatMap(blk => Block.pairs(pc, blk.profiles).map { case (i, j) => Comparison(i, j, 0.0) })
+      val fromBlocks = m.orderedBlocks.flatMap { blk =>
+        Block.pairs(pc, blk.profiles).map { case (i, j) => Comparison(i, j, 0.0) }
+      }
       val clue = s"${pc.erType} |P|=${pc.size} lMin=$lMin"
       assert(exact(outA.result()) === exact(fromBlocks), clue)
       assert(exact(outB.result()) === exact(fromBlocks), clue)
