@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.blocking.{BlockFiltering, BlockPurging, ProfileIndex, TokenBlocking}
+import repro.blocking.{BlockFiltering, BlockPurging, ProfileIndex, TokenBlocking, TokenIndex}
 import repro.core._
 import repro.data.HeterogeneousData
 import repro.eval.{ErDataset, Experiments}
@@ -14,9 +14,13 @@ import repro.eval.{ErDataset, Experiments}
   */
 class ComplexityBench extends SparkSpec {
 
-  private def initTime(m: ProgressiveMethod): Double = {
+  /** The ms to build method `name` on `ds` with `Experiments.method`, its
+    * own Neighbor List or Token Blocking Workflow included, and to pull its
+    * first emission.
+    */
+  private def initTime(ds: ErDataset, name: String): Double = {
     val t0 = System.nanoTime()
-    val it = m.emissions
+    val it = Experiments.method(ds, name).emissions
     if (it.hasNext) it.next()
     (System.nanoTime() - t0) / 1e6
   }
@@ -32,10 +36,10 @@ class ComplexityBench extends SparkSpec {
   test("Table 1: print measured initialization scaling") {
     println("=== Table 1 probe: init time (ms) vs |P| (freebase-like) ===")
     println(f"${"method"}%-9s ${"|P|=s1"}%-10s ${"|P|=s2"}%-10s ${"ratio"}%-7s")
-    for ((m1, m2) <- Experiments.aucMatrix(dataset(0.5))
-           .zip(Experiments.aucMatrix(dataset(1.0)))) {
-      val t1 = initTime(m1); val t2 = initTime(m2)
-      println(f"${m1.name}%-9s $t1%-10.1f $t2%-10.1f ${t2 / math.max(t1, 0.1)}%-7.2f")
+    val (small, large) = (dataset(0.5), dataset(1.0))
+    for (name <- Experiments.aucMethods(small)) {
+      val t1 = initTime(small, name); val t2 = initTime(large, name)
+      println(f"$name%-9s $t1%-10.1f $t2%-10.1f ${t2 / math.max(t1, 0.1)}%-7.2f")
     }
   }
 
@@ -73,6 +77,33 @@ class ComplexityBench extends SparkSpec {
     // list growth relative to |NL|·w_max growth (w_max is fixed)
     val listRatio = list2.toDouble / list1 / nlRatio
     assert(listRatio > 0.8 && listRatio < 1.25, s"Comparison List growth over |NL| growth $listRatio")
+  }
+
+  test("per stage: the token index places every Neighbor List position, at 1 range and at one per processor") {
+    // Table 1 charges tokenizing and sorting the tokens to initialization;
+    // the Neighbor List is sorted from the token index, one position per
+    // placement. Both build in contiguous ranges of profiles; the times
+    // are the median of 5 builds after one warm-up.
+    def median(body: => Unit): Double = {
+      body
+      val times = Seq.fill(5)(ms(body)._2).sorted
+      times(2)
+    }
+    val processors = Runtime.getRuntime.availableProcessors
+    val stages = for (scale <- Seq(0.5, 1.0)) yield {
+      val pc = dataset(scale).pc
+      val placements = TokenIndex(pc).tokenIds.length
+      val nl = NeighborList.build(pc)
+      assert(placements === nl.size, s"|P|=${pc.size}: $placements placements, |NL| ${nl.size}")
+      val times = for (ranges <- Seq(1, processors)) yield
+        (median(TokenIndex(pc, ranges)), median(NeighborList.build(pc, 42, ranges)))
+      (pc.size, placements, times)
+    }
+    println(s"=== Table 1 per stage (freebase-like, tokenize and nl.build at 1 and $processors ranges) ===")
+    println(f"${"|P|"}%-7s ${"placements"}%-11s ${"tokenize 1"}%-11s ${"nl.build 1"}%-11s " +
+      f"${s"tokenize $processors"}%-11s ${s"nl.build $processors"}%-11s (ms)")
+    for ((p, placements, Seq((tok1, nl1), (tokN, nlN))) <- stages)
+      println(f"$p%-7d $placements%-11d $tok1%-11.1f $nl1%-11.1f $tokN%-11.1f $nlN%-11.1f")
   }
 
   test("per stage: the equality-based structures grow linearly") {
@@ -156,11 +187,11 @@ class ComplexityBench extends SparkSpec {
   }
 
   test("time: doubling |P| scales no method's init catastrophically") {
-    for ((m1, m2) <- Experiments.aucMatrix(dataset(0.5))
-           .zip(Experiments.aucMatrix(dataset(1.0)))) {
-      val t1 = math.max(initTime(m1), 5.0) // floor: timer noise on tiny inputs
-      val t2 = initTime(m2)
-      assert(t2 < t1 * 30 + 3000, s"${m1.name}: $t1 ms → $t2 ms")
+    val (small, large) = (dataset(0.5), dataset(1.0))
+    for (name <- Experiments.aucMethods(small)) {
+      val t1 = math.max(initTime(small, name), 5.0) // floor: timer noise on tiny inputs
+      val t2 = initTime(large, name)
+      assert(t2 < t1 * 30 + 3000, s"$name: $t1 ms → $t2 ms")
     }
   }
 

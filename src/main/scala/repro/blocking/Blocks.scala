@@ -1,22 +1,26 @@
 package repro.blocking
 
 import java.util.Arrays
-import repro.core.{ProfileCollection, Tokenizer}
+import repro.core.{ForkJoin, ProfileCollection, Tokenizer}
 import scala.collection.mutable
 
-/** The tokens of a profile collection, indexed once for any number of block
-  * builds: the distinct tokens in first-seen order, and every profile's
-  * token ids in profile order.
+/** The tokens of a profile collection — the one tokenization of every
+  * schema-agnostic method: the distinct tokens in first-seen order, and
+  * every profile's distinct token ids in profile order, each profile's in
+  * the order of `Tokenizer.profileKeys`. The Neighbor List is sorted from
+  * it, and it holds the one block builder of the equality-based methods:
+  * Token Blocking keys every profile by its tokens, each SA-PSAB layer by
+  * their suffixes of one length — at most one key per token.
   *
-  * It holds the one block builder of the equality-based methods: Token
-  * Blocking keys every profile by its tokens, each SA-PSAB layer by their
-  * suffixes of one length — at most one key per token.
+  * @param tokens   the distinct tokens, in first-seen order
+  * @param start    the token ids of profile p are `tokenIds(start(p) until start(p + 1))`
+  * @param tokenIds every profile's token ids, one placement each
   */
 final class TokenIndex private (
     pc: ProfileCollection,
     val tokens: Array[String],
-    start: Array[Int],
-    tokenIds: Array[Int]) {
+    private[repro] val start: Array[Int],
+    private[repro] val tokenIds: Array[Int]) {
 
   /** The blocks of the key `keyOf(token)` of every profile token (none
     * where it is `None`), in key order.
@@ -29,18 +33,14 @@ final class TokenIndex private (
     * profile's repeats adjacent.
     */
   def blocks(keyOf: String => Option[String]): BlockCollection = {
-    val keyIds = new java.util.HashMap[String, Integer]
-    val keys = mutable.ArrayBuffer.empty[String]
+    val keys = new TokenIndex.Dictionary(tokens.length)
     // the key id of every token, -1 for none
     val tokenKey = new Array[Int](tokens.length)
     var t = 0
     while (t < tokens.length) {
       tokenKey(t) = keyOf(tokens(t)) match {
-        case Some(key) =>
-          var k = keyIds.get(key)
-          if (k == null) { k = keys.size; keyIds.put(key, k); keys += key }
-          k
-        case None => -1
+        case Some(key) => keys.id(key)
+        case None      => -1
       }
       t += 1
     }
@@ -61,7 +61,7 @@ final class TokenIndex private (
       if (Block.cardinality(pc, ids, n) > 0) { profilesOf(k) = Arrays.copyOf(ids, n); survivors += keys(k) }
       k += 1
     }
-    val blocks = survivors.toArray.sorted.iterator.map(key => Block(key, profilesOf(keyIds.get(key))))
+    val blocks = survivors.toArray.sorted.iterator.map(key => Block(key, profilesOf(keys.id(key))))
     BlockCollection(blocks.toVector, pc)
   }
 
@@ -99,24 +99,142 @@ final class TokenIndex private (
 
 object TokenIndex {
 
-  /** Index the tokens of `pc`.
-    *
-    * `tokens` are the distinct tokens in first-seen order; the token ids of
-    * profile p are `tokenIds(start(p) until start(p + 1))`.
+  /** Attribute values below which a range of profiles is not worth a task
+    * of its own.
     */
-  def apply(pc: ProfileCollection): TokenIndex = {
-    val ids = new java.util.HashMap[String, Integer]
-    val tokens = mutable.ArrayBuffer.empty[String]
-    val tokenIds = mutable.ArrayBuilder.make[Int]
-    val start = new Array[Int](pc.size + 1)
-    for (p <- pc.profiles) {
-      for (tok <- Tokenizer.profileKeys(p)) {
-        var t = ids.get(tok)
-        if (t == null) { t = tokens.size; ids.put(tok, t); tokens += tok }
-        tokenIds += t
-      }
-      start(p.id + 1) = tokenIds.length
+  private val MinValues = 1L << 10
+
+  /** Index the tokens of `pc`, tokenized in up to one contiguous range of
+    * profiles per processor.
+    */
+  def apply(pc: ProfileCollection): TokenIndex = build(pc, ForkJoin.ranges(pc.size, MinValues)(values(pc, _)))
+
+  /** The same index, tokenized in `ranges` contiguous ranges of about equal
+    * attribute values.
+    */
+  private[repro] def apply(pc: ProfileCollection, ranges: Int): TokenIndex =
+    build(pc, ForkJoin.cut(pc.size, ranges)(values(pc, _)))
+
+  private def values(pc: ProfileCollection, p: Int): Long = pc.profiles(p).attrs.size.toLong
+
+  /** Every range interns its tokens into its own dictionary, in parallel.
+    * The dictionaries are then merged in range order, each in its own
+    * first-seen order: a token new to the merge in range q first occurs in
+    * range q, so the merge assigns the ids in the order of the tokens' first
+    * occurrence over all profiles — the sequential first-seen order, for any
+    * cut. Last, every range's placements are mapped to the merged ids, in
+    * parallel.
+    */
+  private def build(pc: ProfileCollection, bounds: Array[Int]): TokenIndex = {
+    val parts = ForkJoin.all(bounds.length - 1)(q => new Part(pc, bounds(q), bounds(q + 1)))
+    val dictionary = new Dictionary(parts.iterator.map(_.dictionary.size).sum)
+    val globalIds = parts.map { part =>
+      Array.tabulate(part.dictionary.size)(t => dictionary.id(part.dictionary(t)))
     }
-    new TokenIndex(pc, tokens.toArray, start, tokenIds.result())
+    val offset = parts.scanLeft(0)(_ + _.n)
+    val start = new Array[Int](pc.size + 1)
+    val tokenIds = new Array[Int](offset.last)
+    ForkJoin.all(parts.length) { q =>
+      val part = parts(q)
+      val global = globalIds(q)
+      var x = 0
+      while (x < part.n) { tokenIds(offset(q) + x) = global(part.ids(x)); x += 1 }
+      var p = bounds(q)
+      while (p < bounds(q + 1)) { start(p + 1) = offset(q) + part.end(p - bounds(q)); p += 1 }
+    }
+    new TokenIndex(pc, dictionary.strings, start, tokenIds)
+  }
+
+  /** The tokens of the profiles `from until until`, in the part's own
+    * dictionary: the `n` placements' ids in `ids`, and the placements
+    * through each profile in `end`. A token repeated in one profile is
+    * placed once: `last` marks the profile that placed each token last.
+    */
+  private final class Part(pc: ProfileCollection, from: Int, until: Int) {
+    val dictionary = new Dictionary(256)
+    private var last = new Array[Int](256) // 1 + the profile, 0 for none
+    var ids = new Array[Int](256)
+    var n = 0
+    val end = new Array[Int](until - from)
+
+    private var p = from
+    private val place: String => Unit = { tok =>
+      val t = dictionary.id(tok)
+      if (t == last.length) last = Arrays.copyOf(last, 2 * t)
+      if (last(t) <= p) {
+        last(t) = p + 1
+        if (n == ids.length) ids = Arrays.copyOf(ids, 2 * n)
+        ids(n) = t
+        n += 1
+      }
+    }
+    while (p < until) {
+      pc.profiles(p).attrs.foreach { case (_, v) => Tokenizer.foreachToken(v)(place) }
+      end(p - from) = n
+      p += 1
+    }
+  }
+
+  /** Distinct strings, each with a dense id in first-seen order: an
+    * open-addressing table on `String.hashCode` that keeps every slot's hash
+    * beside its id, so a probe reads a string only when the hashes match.
+    *
+    * @param expected the number of strings to size the table for
+    */
+  private[repro] final class Dictionary(expected: Int) {
+    private var hashes = new Array[Int](Integer.highestOneBit(math.max(8, expected)) * 4)
+    private var slots = new Array[Int](hashes.length) // id + 1; 0 marks an empty slot
+    private var keys = new Array[String](math.max(8, expected))
+    private var d = 0
+
+    /** The number of distinct strings. */
+    def size: Int = d
+
+    /** The string of id `k`. */
+    def apply(k: Int): String = keys(k)
+
+    /** The distinct strings, in id order. */
+    def strings: Array[String] = Arrays.copyOf(keys, d)
+
+    /** The id of `s`, added if it is new. */
+    def id(s: String): Int = {
+      val h = s.hashCode
+      val mask = slots.length - 1
+      var x = slot(h, mask)
+      while (slots(x) != 0 && (hashes(x) != h || keys(slots(x) - 1) != s)) x = (x + 1) & mask
+      if (slots(x) != 0) slots(x) - 1
+      else {
+        if (d == keys.length) keys = Arrays.copyOf(keys, 2 * d)
+        keys(d) = s
+        d += 1
+        hashes(x) = h
+        slots(x) = d
+        if (2 * d > slots.length) grow()
+        d - 1
+      }
+    }
+
+    private def slot(h: Int, mask: Int): Int = {
+      val x = h * 0x9E3779B9
+      (x ^ (x >>> 16)) & mask
+    }
+
+    private def grow(): Unit = {
+      val oldHashes = hashes
+      val oldSlots = slots
+      hashes = new Array[Int](2 * oldHashes.length)
+      slots = new Array[Int](hashes.length)
+      val mask = slots.length - 1
+      var t = 0
+      while (t < oldSlots.length) {
+        if (oldSlots(t) != 0) {
+          var x = slot(oldHashes(t), mask)
+          while (slots(x) != 0) x = (x + 1) & mask
+          hashes(x) = oldHashes(t)
+          slots(x) = oldSlots(t)
+        }
+        t += 1
+      }
+    }
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.Arrays
-import java.util.concurrent.{Callable, ForkJoinTask}
 import scala.collection.{AbstractIterator, immutable}
 
 /** A sorted Comparison List of LS-PSN / GS-PSN in 8 bytes a stored
@@ -119,20 +118,6 @@ object ComparisonList {
   }
 }
 
-/** Runs `tasks` bodies on the common `ForkJoinPool`, body 0 on the calling
-  * thread, and returns their results in order.
-  */
-private[core] object ForkJoin {
-
-  def all[T](tasks: Int)(body: Int => T): IndexedSeq[T] = {
-    val forked = (1 until tasks).map { t =>
-      ForkJoinTask.adapt(new Callable[T] { def call(): T = body(t) }).fork()
-    }
-    val first = if (tasks > 0) Vector(body(0)) else Vector.empty
-    first ++ forked.map(_.join())
-  }
-}
-
 /** The window scan of the weighted Neighbor List methods (Algorithm 1,
   * Sec. 5.1), shared by LS-PSN (one window size) and GS-PSN (the range
   * `[1, w_max]`).
@@ -148,9 +133,9 @@ private[core] object WindowScan {
     * up to one range of profiles per processor.
     */
   def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int): ComparisonList = {
-    val work = pc.source1Ids.iterator.map(nl.positionsOf(_).length.toLong).sum * (wHi - wLo + 1)
-    val ranges = math.max(1L, math.min(Runtime.getRuntime.availableProcessors.toLong, work / MinWork)).toInt
-    comparisons(pc, nl, wLo, wHi, ranges)
+    val ids = pc.source1Ids.toArray
+    val windows = (wHi - wLo + 1).toLong
+    comparisons(pc, nl, wLo, wHi, ids, ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * windows))
   }
 
   /** The same list, with `pc.source1Ids` cut into `ranges` contiguous
@@ -160,25 +145,17 @@ private[core] object WindowScan {
     */
   def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int, ranges: Int): ComparisonList = {
     val ids = pc.source1Ids.toArray
-    val bounds = split(ids, nl, ranges)
-    ComparisonList.of(ForkJoin.all(ranges)(q => scan(pc, nl, ids, bounds(q), bounds(q + 1), wLo, wHi)))
+    comparisons(pc, nl, wLo, wHi, ids, ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
   }
 
-  /** The bounds of `ranges` contiguous ranges of `ids` of about equal
-    * placements: range q is `bounds(q) until bounds(q + 1)`.
-    */
-  private def split(ids: Array[Int], nl: NeighborList, ranges: Int): Array[Int] = {
-    val total = ids.iterator.map(nl.positionsOf(_).length.toLong).sum
-    val bounds = new Array[Int](ranges + 1)
-    var x = 0
-    var placed = 0L
-    for (q <- 1 until ranges) {
-      while (x < ids.length && placed < total * q / ranges) { placed += nl.positionsOf(ids(x)).length; x += 1 }
-      bounds(q) = x
-    }
-    bounds(ranges) = ids.length
-    bounds
-  }
+  private def comparisons(
+      pc: ProfileCollection,
+      nl: NeighborList,
+      wLo: Int,
+      wHi: Int,
+      ids: Array[Int],
+      bounds: Array[Int]): ComparisonList =
+    ComparisonList.of(ForkJoin.all(bounds.length - 1)(q => scan(pc, nl, ids, bounds(q), bounds(q + 1), wLo, wHi)))
 
   /** The comparisons of the profiles `ids(from until until)`.
     *

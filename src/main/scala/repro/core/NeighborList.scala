@@ -1,6 +1,7 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.Arrays
+import repro.blocking.TokenIndex
 import scala.util.hashing.MurmurHash3
 
 /** The Neighbor List (Sec. 3.2) and its Position Index (Sec. 5.1).
@@ -39,9 +40,29 @@ object NeighborList {
     */
   def tie(key: String, id: Int, seed: Int = 42): Int = MurmurHash3.stringHash(s"$key#$id", seed)
 
-  /** Build the Neighbor List of a collection from its attribute value tokens. */
-  def build(pc: ProfileCollection, seed: Int = 42): NeighborList =
-    fromPlacements(Tokenizer.placements(pc), pc.size, seed)
+  /** Placements below which a range is not worth a task of its own. */
+  private val MinPlacements = 1L << 13
+
+  /** Build the Neighbor List of a collection from its `TokenIndex`: one
+    * placement per (profile, distinct token), in the index's order.
+    */
+  def build(pc: ProfileCollection, seed: Int = 42): NeighborList = {
+    val index = TokenIndex(pc)
+    fromIndex(index, pc.size, seed, ForkJoin.ranges(index.tokenIds.length, MinPlacements)(_ => 1L))
+  }
+
+  /** The same list, tokenized and filled in `ranges` contiguous ranges. */
+  private[repro] def build(pc: ProfileCollection, seed: Int, ranges: Int): NeighborList = {
+    val index = TokenIndex(pc, ranges)
+    fromIndex(index, pc.size, seed, ForkJoin.cut(index.tokenIds.length, ranges)(_ => 1L))
+  }
+
+  private def fromIndex(index: TokenIndex, nProfiles: Int, seed: Int, bounds: Array[Int]): NeighborList = {
+    val ids = new Array[Int](index.tokenIds.length)
+    var p = 0
+    while (p < nProfiles) { Arrays.fill(ids, index.start(p), index.start(p + 1), p); p += 1 }
+    sorted(index.tokens, index.tokenIds, ids, nProfiles, seed, bounds)
+  }
 
   /** Build from explicit (key, profileId) placements — used by tests and by
     * the schema-based PSN (single key per profile).
@@ -50,41 +71,64 @@ object NeighborList {
       placements: Seq[(String, Int)],
       nProfiles: Int,
       seed: Int = 42): NeighborList = {
-    // The order of a stable sort on (key, tie): keys are ranked through a
-    // sorted dictionary of the distinct keys, and the (tie, input position)
-    // tie-break packs into one Long, tie · 2^31 + position.
     val n = placements.size
     val ids = new Array[Int](n)
-    val rank = new Array[Int](n)
-    val payload = new Array[Long](n)
-    val dictionary = new java.util.HashMap[String, Integer]
-    val firstSeen = mutable.ArrayBuffer.empty[String]
+    val keyOf = new Array[Int](n)
+    val dictionary = new TokenIndex.Dictionary(n)
     var k = 0
     for ((key, id) <- placements) {
-      var d = dictionary.get(key)
-      if (d == null) { d = firstSeen.size; dictionary.put(key, d); firstSeen += key }
       ids(k) = id
-      rank(k) = d // the key's first-seen index, replaced by its rank below
-      payload(k) = (tie(key, id, seed).toLong << 31) | k
+      keyOf(k) = dictionary.id(key)
       k += 1
     }
-    val sortedKeys = firstSeen.toArray.sorted
-    val rankOfFirstSeen = new Array[Int](sortedKeys.length)
-    for (r <- sortedKeys.indices) rankOfFirstSeen(dictionary.get(sortedKeys(r))) = r
-    k = 0
-    while (k < n) { rank(k) = rankOfFirstSeen(rank(k)); k += 1 }
+    sorted(dictionary.strings, keyOf, ids, nProfiles, seed, ForkJoin.ranges(n, MinPlacements)(_ => 1L))
+  }
 
-    val (order, start) = RankSort.sort(rank, sortedKeys.length, payload)
-    val entries = new Array[Int](n)
-    val keys    = new Array[String](n)
-    for (r <- sortedKeys.indices; pos <- start(r) until start(r + 1)) {
-      entries(pos) = ids((order(pos) & Int.MaxValue).toInt)
-      keys(pos) = sortedKeys(r)
+  /** The list of placements k: profile `ids(k)` under key `keys(keyOf(k))`,
+    * in the order of a stable sort on (key, tie). `keys` are distinct.
+    *
+    * The keys are sorted once, giving each its rank; every placement's rank
+    * and its tie-break payload, tie · 2^31 + k, are filled per range in
+    * parallel, then `RankSort` orders the placements by (rank, payload).
+    */
+  private def sorted(
+      keys: Array[String],
+      keyOf: Array[Int],
+      ids: Array[Int],
+      nProfiles: Int,
+      seed: Int,
+      bounds: Array[Int]): NeighborList = {
+    val n = ids.length
+    val sortedKeys = keys.clone()
+    Arrays.parallelSort(sortedKeys: Array[String])
+    val ranks = new TokenIndex.Dictionary(sortedKeys.length)
+    sortedKeys.foreach(ranks.id)
+    val rankOfKey = keys.map(ranks.id)
+
+    val rank = new Array[Int](n)
+    val payload = new Array[Long](n)
+    ForkJoin.all(bounds.length - 1) { q =>
+      var k = bounds(q)
+      while (k < bounds(q + 1)) {
+        val key = keyOf(k)
+        rank(k) = rankOfKey(key)
+        payload(k) = (tie(keys(key), ids(k), seed).toLong << 31) | k
+        k += 1
+      }
     }
+    val (order, start) = RankSort.sort(rank, sortedKeys.length, payload)
+
+    val entries = new Array[Int](n)
+    val listKeys = new Array[String](n)
     val placed = new Array[Int](nProfiles)
-    entries.foreach(placed(_) += 1)
+    for (r <- sortedKeys.indices; pos <- start(r) until start(r + 1)) {
+      val id = ids((order(pos) & Int.MaxValue).toInt)
+      entries(pos) = id
+      listKeys(pos) = sortedKeys(r)
+      placed(id) += 1
+    }
     val positionIndex = placed.map(new Array[Int](_))
-    java.util.Arrays.fill(placed, 0)
+    Arrays.fill(placed, 0)
     var pos = 0
     while (pos < n) {
       val id = entries(pos)
@@ -92,6 +136,6 @@ object NeighborList {
       placed(id) += 1
       pos += 1
     }
-    new NeighborList(entries, keys, positionIndex)
+    new NeighborList(entries, listKeys, positionIndex)
   }
 }

@@ -20,7 +20,8 @@ object Tokenizer {
     out.result()
   }
 
-  private def foreachToken(value: String)(f: String => Unit): Unit = {
+  /** Calls `f` on every token of `value`, in order, repeats included. */
+  private[repro] def foreachToken(value: String)(f: String => Unit): Unit = {
     val s = value.toLowerCase(Locale.ROOT)
     var start = -1
     var k = 0

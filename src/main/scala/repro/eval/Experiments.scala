@@ -64,8 +64,12 @@ object Experiments {
     */
   def aucMatrix(ds: ErDataset): Seq[ProgressiveMethod] = {
     val prep = new Prep(ds)
-    methodNames.filter(name => name != "PSN" || ds.psnKey.isDefined).map(build(prep, _))
+    aucMethods(ds).map(build(prep, _))
   }
+
+  /** The names of the methods of `aucMatrix(ds)`, in its order. */
+  def aucMethods(ds: ErDataset): Seq[String] =
+    methodNames.filter(name => name != "PSN" || ds.psnKey.isDefined)
 
   /** The recall curve of every method of `aucMatrix` on every dataset. */
   def runAll(datasets: Seq[ErDataset], maxEcStar: Double = 30.0): Seq[MethodResult] =

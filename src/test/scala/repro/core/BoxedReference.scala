@@ -139,4 +139,22 @@ object BoxedReference {
     }
     (init, stream)
   }
+
+  /** The token index as it was built before ranges: one dictionary, the
+    * profiles in order, each by `Tokenizer.profileKeys`.
+    *
+    * @return the distinct tokens in first-seen order, every profile's start
+    *         and the placements' token ids
+    */
+  def tokenIndex(pc: ProfileCollection): (Vector[String], Vector[Int], Vector[Int]) = {
+    val ids = mutable.LinkedHashMap.empty[String, Int]
+    val start = Vector.newBuilder[Int] += 0
+    val tokenIds = Vector.newBuilder[Int]
+    var placed = 0
+    for (p <- pc.profiles) {
+      for (tok <- Tokenizer.profileKeys(p)) { tokenIds += ids.getOrElseUpdate(tok, ids.size); placed += 1 }
+      start += placed
+    }
+    (ids.keys.toVector, start.result(), tokenIds.result())
+  }
 }

@@ -4,7 +4,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.blocking.{
-  Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking}
+  Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking, TokenIndex}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -287,6 +287,45 @@ class PropertySpec extends SparkSpec {
       val side = if (pc.size % 2 == 0) 1 else 2
       ProfileCollection(pc.profiles.map(_.copy(source = side)), CleanCleanEr)
     }
+
+  /** `blockingCollections`, plus profiles that repeat tokens inside an
+    * attribute value and across values.
+    */
+  private val indexCollections: Seq[ProfileCollection] =
+    blockingCollections ++ samples(anyCollectionGen, 20).map { pc =>
+      pc.copy(profiles = pc.profiles.map { p =>
+        p.copy(attrs = p.attrs.flatMap { case (a, v) => Seq(a -> s"$v ${v.reverse} $v", a -> v.toUpperCase) })
+      })
+    } :+ PaperExample.pc
+
+  /** The cuts into ranges every range-parallel build is checked under. */
+  private def rangeCounts(pc: ProfileCollection): Seq[Int] =
+    Seq(1, 2, 3, 7, pc.size, pc.size + 1).filter(_ >= 1).distinct
+
+  test("the token index equals the sequential index for any cut into ranges") {
+    for (pc <- indexCollections) {
+      val (tokens, start, tokenIds) = BoxedReference.tokenIndex(pc)
+      for ((ranges, index) <- rangeCounts(pc).map(q => (q.toString, TokenIndex(pc, q))) :+ ("default" -> TokenIndex(pc))) {
+        val clue = s"${pc.erType} |P|=${pc.size} ranges=$ranges"
+        assert(index.tokens.toSeq === tokens, clue)
+        assert(index.start.toSeq === start, clue)
+        assert(index.tokenIds.toSeq === tokenIds, clue)
+      }
+    }
+  }
+
+  test("the Neighbor List of the token index equals the list of the placements for any cut into ranges") {
+    for (pc <- indexCollections; seed <- Seq(42, 7)) {
+      val expected = NeighborList.fromPlacements(Tokenizer.placements(pc), pc.size, seed)
+      for ((ranges, nl) <- rangeCounts(pc).map(q => (q.toString, NeighborList.build(pc, seed, q))) :+
+             ("default" -> NeighborList.build(pc, seed))) {
+        val clue = s"${pc.erType} |P|=${pc.size} seed=$seed ranges=$ranges"
+        assert(nl.entries.toSeq === expected.entries.toSeq, clue)
+        assert(nl.keys.toSeq === expected.keys.toSeq, clue)
+        assert(nl.positionIndex.map(_.toSeq).toSeq === expected.positionIndex.map(_.toSeq).toSeq, clue)
+      }
+    }
+  }
 
   private def sameBlocks(actual: Seq[Block], expected: Seq[Block], clue: String): Unit = {
     assert(actual.map(_.key) === expected.map(_.key), clue)
