@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Locale
+import repro.blocking.TokenIndex
 
 /** Schema-agnostic blocking-key extraction (Sec. 3, "attribute value tokens").
   *
@@ -51,7 +52,14 @@ object Tokenizer {
     out.result()
   }
 
-  /** (token, profileId) placements for a whole collection. */
-  def placements(pc: ProfileCollection): Vector[(String, Int)] =
-    pc.profiles.flatMap(p => profileKeys(p).map(t => (t, p.id)))
+  /** (token, profileId) placements for a whole collection: the placements
+    * of its `TokenIndex`, in profile order, each profile's in the order of
+    * `profileKeys`.
+    */
+  def placements(pc: ProfileCollection): Vector[(String, Int)] = {
+    val index = TokenIndex(pc)
+    pc.profiles.flatMap { p =>
+      (index.start(p.id) until index.start(p.id + 1)).map(x => (index.tokens(index.tokenIds(x)), p.id))
+    }
+  }
 }
