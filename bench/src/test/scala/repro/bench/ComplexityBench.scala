@@ -83,11 +83,10 @@ class ComplexityBench extends SparkSpec {
     // Table 1 charges tokenizing and sorting the tokens to initialization;
     // the Neighbor List is sorted from the token index, one position per
     // placement. Both build in contiguous ranges of profiles; the times
-    // are the median of 5 builds after one warm-up.
+    // are the median of 9 builds after 5 warm-up builds.
     def median(body: => Unit): Double = {
-      body
-      val times = Seq.fill(5)(ms(body)._2).sorted
-      times(2)
+      for (_ <- 1 to 5) body
+      Seq.fill(9)(ms(body)._2).sorted.apply(4)
     }
     val processors = Runtime.getRuntime.availableProcessors
     val stages = for (scale <- Seq(0.5, 1.0)) yield {
