@@ -1,6 +1,6 @@
 package repro.blocking
 
-import repro.core.{CleanCleanEr, DirtyEr, ProfileCollection, RankSort}
+import repro.core.{CleanCleanEr, DirtyEr, ErType, ProfileCollection, RankSort}
 
 /** A block: the set of profiles indexed under one blocking key.
   *
@@ -34,17 +34,20 @@ object Block {
       }
     }
 
-  /** ||b|| of the block holding the first `n` ids of `profiles`: the one
-    * cardinality definition, shared by every block type.
+  /** ||b|| of the block holding the first `n` ids of `profiles`. */
+  def cardinality(pc: ProfileCollection, profiles: Array[Int], n: Int): Long = {
+    var n1 = 0L
+    var k = 0
+    if (pc.erType == CleanCleanEr) while (k < n) { if (pc.source(profiles(k)) == 1) n1 += 1; k += 1 }
+    cardinality(pc.erType, n, n1)
+  }
+
+  /** ||b|| of a block of `size` profiles, `n1` of them from source 1: the one
+    * cardinality definition, shared by every block type and the Spark stages.
     */
-  def cardinality(pc: ProfileCollection, profiles: Array[Int], n: Int): Long = pc.erType match {
-    case DirtyEr =>
-      n.toLong * (n - 1) / 2
-    case CleanCleanEr =>
-      var n1 = 0L
-      var k = 0
-      while (k < n) { if (pc.source(profiles(k)) == 1) n1 += 1; k += 1 }
-      n1 * (n - n1)
+  def cardinality(erType: ErType, size: Long, n1: Long): Long = erType match {
+    case DirtyEr      => size * (size - 1) / 2
+    case CleanCleanEr => n1 * (size - n1)
   }
 }
 

@@ -7,6 +7,11 @@ package repro.blocking
   */
 object BlockFiltering {
 
+  /** How many of its `n` blocks a profile keeps: ⌈ratio·n⌉, and at least
+    * one if it has any.
+    */
+  def keepCount(n: Int, ratio: Double): Int = if (n == 0) 0 else math.max(1, math.ceil(ratio * n).toInt)
+
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {
     val pc = bc.pc
     val (order, _) = bc.cardinalityOrder
@@ -20,10 +25,7 @@ object BlockFiltering {
     for (bi <- order; p <- bc.blocks(bi).profiles) { blocksOf(next(p)) = bi; next(p) += 1 }
     // each profile keeps the head of its list; fill the blocks in ascending
     // profile id
-    val keep = Array.tabulate(pc.size) { p =>
-      val n = start(p + 1) - start(p)
-      if (n == 0) 0 else math.max(1, math.ceil(ratio * n).toInt)
-    }
+    val keep = Array.tabulate(pc.size)(p => keepCount(start(p + 1) - start(p), ratio))
     val kept = new Array[Int](bc.blocks.size)
     for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) kept(blocksOf(x)) += 1
     val retained = kept.map(new Array[Int](_))

@@ -2,6 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.blocking.Arcs
 
 /** Distributed Blocking Graph construction (Sec. 3.2): edges and their ARCS
   * weights computed with a token self-join + aggregation across partitions —
@@ -12,14 +13,15 @@ object SparkBlockingGraph {
   /** Weighted edges `(i, j, weight, lecobi)` of the Blocking Graph.
     *
     * The self-join of the filtered index on `token` yields one row per
-    * (pair, shared block); the per-pair aggregation sums the ARCS
-    * contributions `1/||b||` and records the Least Common Block Index — the
+    * (pair, shared block); the per-pair aggregation sums the ARCS terms
+    * `Arcs.term` of the shared blocks and records the Least Common Block Index — the
     * smallest shared `block_id` — so consumers can both weight and
     * deduplicate comparisons without any further pass.
     *
     * Pair validity: `i < j`, and cross-source for Clean-clean ER.
     */
   def arcsEdges(filteredIndex: DataFrame, orderedStats: DataFrame, cleanClean: Boolean): DataFrame = {
+    val arcs = udf((card: Double) => Arcs.term(card.toLong))
     val idx = filteredIndex.join(
       orderedStats.select("token", "cardinality", "block_id"), "token")
     val a = idx.select(
@@ -35,7 +37,7 @@ object SparkBlockingGraph {
       .filter(col("ia") < col("ib") && pairCond)
       .groupBy(col("ia").as("i"), col("ib").as("j"))
       .agg(
-        sum(lit(1.0) / col("cardinality")).as("weight"),
+        sum(arcs(col("cardinality"))).as("weight"),
         min(col("block_id")).as("lecobi"))
   }
 

@@ -1,8 +1,8 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{CleanCleanEr, ProfileCollection}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.LongType
+import repro.core.{CleanCleanEr, ProfileCollection, Tokenizer}
 
 /** Bridges between the in-memory profile model and the DataFrame world.
   *
@@ -21,18 +21,28 @@ object SparkEr {
   }
 
   /** The schema-agnostic blocking-key relation `(profile_id, source, token)`:
-    * distinct lowercase alphanumeric tokens of every attribute value —
-    * Tokenizer.profileKeys as a Catalyst pipeline.
+    * the distinct `Tokenizer.tokens` of every attribute value.
     */
-  def tokenIndex(profiles: DataFrame): DataFrame =
+  def tokenIndex(profiles: DataFrame): DataFrame = {
+    val spark = profiles.sparkSession
+    import spark.implicits._
     profiles
-      .select(
-        col("profile_id"),
-        col("source"),
-        explode(split(lower(col("value")), "[^a-z0-9]+")).as("token"))
-      .filter(length(col("token")) > 0)
-      .select("profile_id", "source", "token")
+      .select("profile_id", "source", "value").as[(Int, Int, String)]
+      .flatMap { case (id, source, value) => Tokenizer.tokens(value).map((id, source, _)) }
+      .toDF("profile_id", "source", "token")
       .distinct()
+  }
+
+  /** `df` with the column `name`: each row's 0-based rank in the total order
+    * `by`. A sorted `zipWithIndex`, so no window moves the relation into one
+    * partition.
+    */
+  def ranked(df: DataFrame, name: String, by: Column*): DataFrame = {
+    val sorted = df.orderBy(by: _*)
+    df.sparkSession.createDataFrame(
+      sorted.rdd.zipWithIndex().map { case (r, k) => Row.fromSeq(r.toSeq :+ k) },
+      sorted.schema.add(name, LongType, nullable = false))
+  }
 
   /** Is this collection Clean-clean? (drives pair validity in joins) */
   def isCleanClean(pc: ProfileCollection): Boolean = pc.erType == CleanCleanEr

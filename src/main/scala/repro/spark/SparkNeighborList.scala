@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.NeighborList
+import repro.core.{NeighborList, Rcf}
 
 /** Distributed Neighbor List (Sec. 3.2 / 5.1): a global sort of all
   * (token, profile) placements across partitions, plus the window-based
@@ -18,16 +18,10 @@ object SparkNeighborList {
     * single-node one (coincidental proximity included).
     */
   def placements(spark: SparkSession, index: DataFrame): DataFrame = {
-    import spark.implicits._
     val tie = udf((t: String, id: Int) => NeighborList.tie(t, id))
-    index
-      .withColumn("tie", tie(col("token"), col("profile_id")))
-      .orderBy(col("token"), col("tie"))
-      .select("token", "profile_id", "source")
-      .rdd
-      .zipWithIndex()
-      .map { case (r, pos) => (pos, r.getString(0), r.getInt(1), r.getInt(2)) }
-      .toDF("pos", "token", "profile_id", "source")
+    val sorted = Seq(col("token"), tie(col("token"), col("profile_id")))
+    SparkEr.ranked(index.select("token", "profile_id", "source"), "pos", sorted: _*)
+      .select("pos", "token", "profile_id", "source")
   }
 
   /** RCF-weighted comparisons over window sizes `[wLo, wHi]`:
@@ -36,13 +30,12 @@ object SparkNeighborList {
     * Each placement is exploded into its `[wLo, wHi]` forward offsets and
     * equi-joined with the placement at the target position — one row per
     * (position pair, window) co-occurrence — then aggregated per profile
-    * pair. RCF normalizes by the placement counts of both profiles scaled by
-    * the window-range size W: `freq / (W·(|PI_i| + |PI_j|) − freq)` — the
-    * paper's formula at W = 1, kept positive for window ranges (see
-    * `repro.core.Rcf`).
+    * pair, and weighted by `Rcf.weight` over the window-range size W and
+    * the placement counts of both profiles.
     */
   def rcfComparisons(nl: DataFrame, wLo: Int, wHi: Int, cleanClean: Boolean): DataFrame = {
     val windows = wHi - wLo + 1
+    val rcf = udf((freq: Long, lenI: Long, lenJ: Long) => Rcf.weight(freq.toInt, lenI.toInt, lenJ.toInt, windows))
     val a = nl.select(
       col("pos").as("pa"), col("profile_id").as("ia"), col("source").as("sa"))
     val b = nl.select(
@@ -62,11 +55,7 @@ object SparkNeighborList {
       .agg(count(lit(1)).as("freq"))
       .join(lens.withColumnRenamed("profile_id", "i").withColumnRenamed("len", "len_i"), "i")
       .join(lens.withColumnRenamed("profile_id", "j").withColumnRenamed("len", "len_j"), "j")
-      .withColumn("denom", lit(windows) * (col("len_i") + col("len_j")) - col("freq"))
-      .withColumn("weight",
-        when(col("denom") <= 0, col("freq").cast("double"))
-          .otherwise(col("freq") / col("denom")))
-      .select("i", "j", "freq", "weight")
+      .select(col("i"), col("j"), col("freq"), rcf(col("freq"), col("len_i"), col("len_j")).as("weight"))
   }
 
   /** The distributed GS-PSN comparison order: one global sort of the RCF

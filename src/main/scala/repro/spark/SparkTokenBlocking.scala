@@ -3,14 +3,15 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.blocking.{Block, BlockFiltering}
+import repro.core.{CleanCleanEr, DirtyEr}
 
 /** The Token Blocking Workflow (Sec. 7) as a distributed DataFrame pipeline:
   * Token Blocking → Block Purging (10 %) → Block Filtering (80 %).
   *
   * Input: the token index `(profile_id, source, token)`.
   * Output: the filtered index, plus per-block statistics. Cardinalities are
-  * computed under the collection's ER type: n(n−1)/2 for Dirty,
-  * |b∩P1|·|b∩P2| for Clean-clean.
+  * `Block.cardinality` under the collection's ER type.
   */
 object SparkTokenBlocking {
 
@@ -18,14 +19,14 @@ object SparkTokenBlocking {
     * index; blocks without an executable comparison are dropped.
     */
   def blockStats(index: DataFrame, cleanClean: Boolean): DataFrame = {
-    val g = index.groupBy("token").agg(
-      count(lit(1)).as("size"),
-      sum(when(col("source") === 1, 1L).otherwise(0L)).as("n1"))
-    val card =
-      if (cleanClean) col("n1") * (col("size") - col("n1"))
-      else col("size") * (col("size") - 1) / 2
-    // double-typed uniformly across the Dirty and Clean-clean branches
-    g.withColumn("cardinality", card.cast("double")).filter(col("cardinality") > 0)
+    val erType = if (cleanClean) CleanCleanEr else DirtyEr
+    val card = udf((size: Long, n1: Long) => Block.cardinality(erType, size, n1).toDouble)
+    index.groupBy("token")
+      .agg(
+        count(lit(1)).as("size"),
+        sum(when(col("source") === 1, 1L).otherwise(0L)).as("n1"))
+      .withColumn("cardinality", card(col("size"), col("n1")))
+      .filter(col("cardinality") > 0)
   }
 
   /** Block Purging: drop blocks with more than `maxFraction·nProfiles`
@@ -34,16 +35,18 @@ object SparkTokenBlocking {
   def purge(stats: DataFrame, nProfiles: Long, maxFraction: Double = 0.1): DataFrame =
     stats.filter(col("size") <= maxFraction * nProfiles)
 
-  /** Block Filtering: every profile stays only in the ⌈ratio·|B_i|⌉ smallest
-    * of its surviving blocks (rank by pre-filter cardinality, ties by token).
+  /** Block Filtering: every profile stays only in the
+    * `BlockFiltering.keepCount` smallest of its surviving blocks (rank by
+    * pre-filter cardinality, ties by token).
     */
   def filterIndex(index: DataFrame, purgedStats: DataFrame, ratio: Double = 0.8): DataFrame = {
+    val keep = udf((n: Long) => BlockFiltering.keepCount(n.toInt, ratio))
     val joined = index.join(purgedStats, "token")
     val w = Window.partitionBy("profile_id").orderBy(col("cardinality"), col("token"))
     joined
       .withColumn("rank", row_number().over(w))
       .withColumn("nblocks", count(lit(1)).over(Window.partitionBy("profile_id")))
-      .filter(col("rank") <= greatest(lit(1), ceil(col("nblocks") * ratio)))
+      .filter(col("rank") <= keep(col("nblocks")))
       .select("profile_id", "source", "token")
   }
 
@@ -59,10 +62,7 @@ object SparkTokenBlocking {
       filterRatio: Double = 0.8): (DataFrame, DataFrame) = {
     val purged   = purge(blockStats(index, cleanClean), nProfiles, purgeFraction)
     val filtered = filterIndex(index, purged, filterRatio)
-    val stats    = blockStats(filtered, cleanClean)
-    val ordered  = stats.withColumn(
-      "block_id",
-      row_number().over(Window.orderBy(col("cardinality"), col("token"))) - 1)
+    val ordered  = SparkEr.ranked(blockStats(filtered, cleanClean), "block_id", col("cardinality"), col("token"))
     (filtered, ordered)
   }
 }
