@@ -40,7 +40,7 @@ class SparkNeighborListSpec extends SparkSpec {
         .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(3))).toMap
       val local = ls.windowComparisons(w).map(c => c.pair -> c.weight).toMap
       assert(got.keySet === local.keySet, s"window $w")
-      for ((p, wt) <- got) assert(math.abs(wt - local(p)) < 1e-9, s"window $w pair $p")
+      for ((p, wt) <- got) assert(wt === local(p), s"window $w pair $p")
     }
   }
 
@@ -50,7 +50,7 @@ class SparkNeighborListSpec extends SparkSpec {
       .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(3))).toMap
     val local = gs.globalComparisons().map(c => c.pair -> c.weight).toMap
     assert(got.keySet === local.keySet)
-    for ((p, wt) <- got) assert(math.abs(wt - local(p)) < 1e-9, s"pair $p")
+    for ((p, wt) <- got) assert(wt === local(p), s"pair $p")
   }
 
   test("gsPsnOrder is sorted by non-increasing weight") {
