@@ -14,16 +14,18 @@ import repro.eval.{ErDataset, Experiments}
   */
 class ComplexityBench extends SparkSpec {
 
-  /** The ms to build method `name` on `ds` with `Experiments.method`, its
-    * own Neighbor List or Token Blocking Workflow included, and to pull its
-    * first emission.
+  /** Method `name` on `ds`, built with `Experiments.method`, its own
+    * Neighbor List or Token Blocking Workflow included, and pulled to its
+    * first emission; with the ms that took.
     */
-  private def initTime(ds: ErDataset, name: String): Double = {
+  private def initialized(ds: ErDataset, name: String): (Iterator[Comparison], Double) = {
     val t0 = System.nanoTime()
     val it = Experiments.method(ds, name).emissions
     if (it.hasNext) it.next()
-    (System.nanoTime() - t0) / 1e6
+    (it, (System.nanoTime() - t0) / 1e6)
   }
+
+  private def initTime(ds: ErDataset, name: String): Double = initialized(ds, name)._2
 
   private def dataset(scale: Double): ErDataset = HeterogeneousData.freebase(scale)
 
@@ -196,15 +198,13 @@ class ComplexityBench extends SparkSpec {
 
   test("emission is far cheaper than initialization for the advanced methods") {
     val ds = dataset(1.0)
-    for (m <- Experiments.aucMatrix(ds) if m.name != "SA-PSAB") {
-      val it = m.emissions
-      val t0 = System.nanoTime(); if (it.hasNext) it.next()
-      val init = System.nanoTime() - t0
+    for (name <- Experiments.aucMethods(ds) if name != "SA-PSAB") {
+      val (it, initMs) = initialized(ds, name)
       var k = 0
       val t1 = System.nanoTime()
       while (k < 200 && it.hasNext) { it.next(); k += 1 }
-      val perEmission = (System.nanoTime() - t1).toDouble / math.max(k, 1)
-      assert(perEmission < math.max(init.toDouble, 1e6), s"${m.name}")
+      val perEmissionMs = (System.nanoTime() - t1) / 1e6 / math.max(k, 1)
+      assert(perEmissionMs < math.max(initMs, 1.0), s"$name: init $initMs ms, $perEmissionMs ms per emission")
     }
   }
 }

@@ -544,6 +544,25 @@ class PropertySpec extends SparkSpec {
     }
   }
 
+  test("every method of Experiments.method emits an empty or valid stream on degenerate collections") {
+    // profiles with no tokens, single-source Clean-clean ER and |P| ≤ 1; the
+    // ground truth is only there to build the dataset, no metric reads it
+    val noTokens = for (er <- Seq(DirtyEr, CleanCleanEr)) yield ProfileCollection(
+      Vector("", "?! ;").zipWithIndex.map { case (v, i) =>
+        Profile(i, if (er == DirtyEr) 0 else i + 1, Vector("v" -> v))
+      },
+      er)
+    for (pc <- blockingCollections ++ noTokens) {
+      val ds = repro.eval.ErDataset("degenerate", pc, GroundTruth(Set.empty), psnKey = Some(_.text))
+      for (name <- repro.eval.Experiments.aucMethods(ds)) {
+        val clue = s"$name ${pc.erType} |P|=${pc.size}"
+        val ps = repro.eval.Experiments.method(ds, name).emissions.map(_.pair).toVector
+        ps.foreach { case (i, j) => assert(i < j && pc.validPair(i, j), clue) }
+        if (Set("GS-PSN", "PBS", "PPS")(name)) assert(ps.distinct.size === ps.size, clue)
+      }
+    }
+  }
+
   test("recall curves are monotone and bounded for every method") {
     for (pc <- samples(collectionGen, 20)) {
       val gt = GroundTruth.fromPairs(

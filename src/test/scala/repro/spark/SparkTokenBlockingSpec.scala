@@ -1,7 +1,9 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
-import repro.core.PaperExample
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+import repro.core.{DirtyEr, PaperExample, Profile, ProfileCollection, Tokenizer}
 import repro.blocking.{BlockFiltering, BlockPurging, TokenBlocking}
 
 class SparkTokenBlockingSpec extends SparkSpec {
@@ -15,8 +17,31 @@ class SparkTokenBlockingSpec extends SparkSpec {
 
   test("tokenIndex matches the local tokenizer placements") {
     val got = index.collect().map(r => (r.getString(2), r.getInt(0))).toSet
-    val expected = repro.core.Tokenizer.placements(PaperExample.pc).toSet
+    val expected = Tokenizer.placements(PaperExample.pc).toSet
     assert(got === expected)
+  }
+
+  test("tokenIndex equals the local tokenizer placements on random Unicode values") {
+    // combining marks, surrogate pairs, dotted and dotless i, full-width
+    // digits and letters, empty values and values with no token
+    val pieceGen = Gen.oneOf(
+      Gen.alphaNumChar.map(_.toString),
+      Gen.oneOf(" ", "-", ".", "/", "\t"),
+      Gen.oneOf("e\u0301", "\u0301", "a\u0308", "\u20dd"),
+      Gen.oneOf("\ud835\udc9c", "\ud83d\ude00", "\ud801\udc00", "\ud801\udc28"),
+      Gen.oneOf("\u0130", "\u0131", "i\u0307", "I", "\u212a"),
+      Gen.oneOf("\uff10", "\uff11", "\uff19", "\uff21"))
+    val valueGen = Gen.frequency(
+      5 -> Gen.choose(1, 12).flatMap(Gen.listOfN(_, pieceGen)).map(_.mkString),
+      1 -> Gen.oneOf("", "--", " ", "\u0301\u0308"))
+    val profileGen = Gen.choose(0, 4).flatMap(Gen.listOfN(_, valueGen))
+    val values = Gen.listOfN(200, profileGen).apply(Gen.Parameters.default, Seed(9L)).get
+    val pc = ProfileCollection(
+      values.zipWithIndex.map { case (vs, i) => Profile(i, 0, vs.toVector.map("v" -> _)) }.toVector,
+      DirtyEr)
+    val got = SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc)).collect()
+      .map(r => (r.getString(2), r.getInt(0))).toSet
+    assert(got === Tokenizer.placements(pc).toSet)
   }
 
   test("blockStats matches the local token blocks (oracle-checked)") {
