@@ -36,8 +36,7 @@ object Block {
 
   /** ||b|| of the block holding the first `n` ids of `profiles`. */
   def cardinality(pc: ProfileCollection, profiles: Array[Int], n: Int): Long = {
-    var n1 = 0L
-    var k = 0
+    var n1, k = 0
     if (pc.erType == CleanCleanEr) while (k < n) { if (pc.source(profiles(k)) == 1) n1 += 1; k += 1 }
     cardinality(pc.erType, n, n1)
   }

@@ -7,9 +7,7 @@ package repro.blocking
   */
 object BlockFiltering {
 
-  /** How many of its `n` blocks a profile keeps: ⌈ratio·n⌉, and at least
-    * one if it has any.
-    */
+  /** How many of its `n` blocks a profile keeps: ⌈ratio·n⌉, at least one. */
   def keepCount(n: Int, ratio: Double): Int = if (n == 0) 0 else math.max(1, math.ceil(ratio * n).toInt)
 
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {

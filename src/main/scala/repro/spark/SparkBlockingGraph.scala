@@ -13,8 +13,8 @@ object SparkBlockingGraph {
   /** Weighted edges `(i, j, weight, lecobi)` of the Blocking Graph.
     *
     * The self-join of the filtered index on `token` yields one row per
-    * (pair, shared block); the per-pair aggregation sums the ARCS terms
-    * `Arcs.term` of the shared blocks and records the Least Common Block Index — the
+    * (pair, shared block); the per-pair aggregation sums the `Arcs.term` of
+    * the shared blocks and records the Least Common Block Index — the
     * smallest shared `block_id` — so consumers can both weight and
     * deduplicate comparisons without any further pass.
     *
@@ -22,13 +22,11 @@ object SparkBlockingGraph {
     */
   def arcsEdges(filteredIndex: DataFrame, orderedStats: DataFrame, cleanClean: Boolean): DataFrame = {
     val arcs = udf((card: Double) => Arcs.term(card.toLong))
-    val idx = filteredIndex.join(
-      orderedStats.select("token", "cardinality", "block_id"), "token")
-    val a = idx.select(
+    val a = filteredIndex.join(orderedStats.select("token", "cardinality", "block_id"), "token").select(
       col("token"),
       col("profile_id").as("ia"), col("source").as("sa"),
       col("cardinality"), col("block_id"))
-    val b = idx.select(
+    val b = filteredIndex.select(
       col("token"),
       col("profile_id").as("ib"), col("source").as("sb"))
     val pairCond =

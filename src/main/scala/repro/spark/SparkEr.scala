@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.LongType
 import repro.core.{CleanCleanEr, ProfileCollection, Tokenizer}
 
 /** Bridges between the in-memory profile model and the DataFrame world.
@@ -41,7 +40,7 @@ object SparkEr {
     val sorted = df.orderBy(by: _*)
     df.sparkSession.createDataFrame(
       sorted.rdd.zipWithIndex().map { case (r, k) => Row.fromSeq(r.toSeq :+ k) },
-      sorted.schema.add(name, LongType, nullable = false))
+      sorted.schema.add(name, "long", nullable = false))
   }
 
   /** Is this collection Clean-clean? (drives pair validity in joins) */

@@ -18,10 +18,8 @@ object SparkNeighborList {
     * single-node one (coincidental proximity included).
     */
   def placements(spark: SparkSession, index: DataFrame): DataFrame = {
-    val tie = udf((t: String, id: Int) => NeighborList.tie(t, id))
-    val sorted = Seq(col("token"), tie(col("token"), col("profile_id")))
-    SparkEr.ranked(index.select("token", "profile_id", "source"), "pos", sorted: _*)
-      .select("pos", "token", "profile_id", "source")
+    val tie = udf((t: String, id: Int) => NeighborList.tie(t, id)).apply(col("token"), col("profile_id"))
+    SparkEr.ranked(index, "pos", col("token"), tie).select("pos", "token", "profile_id", "source")
   }
 
   /** RCF-weighted comparisons over window sizes `[wLo, wHi]`:
@@ -53,8 +51,8 @@ object SparkNeighborList {
         least(col("ia"), col("ib")).as("i"),
         greatest(col("ia"), col("ib")).as("j"))
       .agg(count(lit(1)).as("freq"))
-      .join(lens.withColumnRenamed("profile_id", "i").withColumnRenamed("len", "len_i"), "i")
-      .join(lens.withColumnRenamed("profile_id", "j").withColumnRenamed("len", "len_j"), "j")
+      .join(lens.toDF("i", "len_i"), "i")
+      .join(lens.toDF("j", "len_j"), "j")
       .select(col("i"), col("j"), col("freq"), rcf(col("freq"), col("len_i"), col("len_j")).as("weight"))
   }
 

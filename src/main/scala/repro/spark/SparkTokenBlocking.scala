@@ -22,9 +22,7 @@ object SparkTokenBlocking {
     val erType = if (cleanClean) CleanCleanEr else DirtyEr
     val card = udf((size: Long, n1: Long) => Block.cardinality(erType, size, n1).toDouble)
     index.groupBy("token")
-      .agg(
-        count(lit(1)).as("size"),
-        sum(when(col("source") === 1, 1L).otherwise(0L)).as("n1"))
+      .agg(count(lit(1)).as("size"), sum(when(col("source") === 1, 1L).otherwise(0L)).as("n1"))
       .withColumn("cardinality", card(col("size"), col("n1")))
       .filter(col("cardinality") > 0)
   }
