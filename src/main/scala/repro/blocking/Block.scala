@@ -71,15 +71,14 @@ final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
 
   /** Block indices in non-decreasing (cardinality, key) — the smallest-first
     * order of Block Filtering, of the Profile Index and of every SA-PSAB
-    * layer — and every block's cardinality, by index. The cardinalities are
-    * ranked and the block indices sorted within each rank: since the blocks
+    * layer — and every block's cardinality, by index. The block indices are
+    * grouped by cardinality rank, ascending within a rank: since the blocks
     * are in key order, the index is the key tie-break.
     */
   def cardinalityOrder: (Array[Int], Array[Long]) = {
     val cards = new Array[Long](blocks.size)
     for (k <- cards.indices) cards(k) = blocks(k).cardinality(pc)
     val (rank, nRanks) = RankSort.rank(cards)
-    val (order, _) = RankSort.sort(rank, nRanks, Array.tabulate(blocks.size)(_.toLong))
-    (order.map(_.toInt), cards)
+    (RankSort.group(rank, nRanks)._1, cards)
   }
 }

@@ -1,5 +1,7 @@
 package repro.blocking
 
+import repro.core.RankSort
+
 /** Block Filtering (step 3 of the Token Blocking Workflow, Sec. 7): retain
   * every profile only in its `ratio` (paper: 80 %) smallest — i.e. most
   * distinctive — blocks, then drop blocks left without any executable
@@ -13,23 +15,22 @@ object BlockFiltering {
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {
     val pc = bc.pc
     val (order, _) = bc.cardinalityOrder
-    // the blocks of profile p, smallest first:
-    // blocksOf(start(p) until start(p + 1)), as compressed sparse rows
-    val start = new Array[Int](pc.size + 1)
-    for (b <- bc.blocks; p <- b.profiles) start(p + 1) += 1
-    for (p <- 0 until pc.size) start(p + 1) += start(p)
-    val next = java.util.Arrays.copyOf(start, pc.size)
-    val blocksOf = new Array[Int](start(pc.size))
-    for (bi <- order; p <- bc.blocks(bi).profiles) { blocksOf(next(p)) = bi; next(p) += 1 }
+    // every membership (block blockOf(m), profile profileOf(m)), the blocks
+    // smallest first; the blocks of profile p, smallest first, are the
+    // blockOf(byProfile(x)) for x in start(p) until start(p + 1)
+    val blockOf, profileOf = new Array[Int](bc.blocks.iterator.map(_.size).sum)
+    var m = 0
+    for (bi <- order; p <- bc.blocks(bi).profiles) { blockOf(m) = bi; profileOf(m) = p; m += 1 }
+    val (byProfile, start) = RankSort.group(profileOf, pc.size)
     // each profile keeps the head of its list; fill the blocks in ascending
     // profile id
     val keep = Array.tabulate(pc.size)(p => keepCount(start(p + 1) - start(p), ratio))
     val kept = new Array[Int](bc.blocks.size)
-    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) kept(blocksOf(x)) += 1
+    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) kept(blockOf(byProfile(x))) += 1
     val retained = kept.map(new Array[Int](_))
     java.util.Arrays.fill(kept, 0)
     for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) {
-      val bi = blocksOf(x)
+      val bi = blockOf(byProfile(x))
       retained(bi)(kept(bi)) = p
       kept(bi) += 1
     }

@@ -1,7 +1,7 @@
 package repro.blocking
 
 import java.util.Arrays
-import repro.core.{ForkJoin, ProfileCollection, Tokenizer}
+import repro.core.{ForkJoin, ProfileCollection, RankSort, Tokenizer}
 import scala.collection.mutable
 
 /** The tokens of a profile collection — the one tokenization of every
@@ -28,9 +28,9 @@ final class TokenIndex private (
     * A block holds the ascending, distinct ids of the profiles with at least
     * one token yielding its key; blocks without an executable comparison
     * (`Block.cardinality` 0) are dropped. `keyOf` runs once per distinct
-    * token. The memberships are grouped by a counting sort on the key id:
-    * visited in profile order, every block's ids come out ascending, a
-    * profile's repeats adjacent.
+    * token. `RankSort.group` groups the placements by key id: placements are
+    * in profile order, so every block's ids come out ascending, a profile's
+    * repeats adjacent.
     */
   def blocks(keyOf: String => Option[String]): BlockCollection = {
     val keys = new TokenIndex.Dictionary(tokens.length)
@@ -44,8 +44,11 @@ final class TokenIndex private (
       }
       t += 1
     }
-
-    val (members, blockStart) = group(tokenKey, keys.size)
+    val placementKey = new Array[Int](tokenIds.length)
+    var x = 0
+    while (x < tokenIds.length) { placementKey(x) = tokenKey(tokenIds(x)); x += 1 }
+    val (members, blockStart) = RankSort.group(placementKey, keys.size)
+    val profileOf = placementProfiles
 
     val profilesOf = new Array[Array[Int]](keys.size)
     val survivors = mutable.ArrayBuffer.empty[String]
@@ -53,9 +56,10 @@ final class TokenIndex private (
     var k = 0
     while (k < keys.size) {
       var n = 0
-      var x = blockStart(k)
+      x = blockStart(k)
       while (x < blockStart(k + 1)) {
-        if (n == 0 || ids(n - 1) != members(x)) { ids(n) = members(x); n += 1 }
+        val p = profileOf(members(x))
+        if (n == 0 || ids(n - 1) != p) { ids(n) = p; n += 1 }
         x += 1
       }
       if (Block.cardinality(pc, ids, n) > 0) { profilesOf(k) = Arrays.copyOf(ids, n); survivors += keys(k) }
@@ -65,35 +69,12 @@ final class TokenIndex private (
     BlockCollection(blocks.toVector, pc)
   }
 
-  /** The memberships of the keys `tokenKey(t)` (-1 for none) of every
-    * placement, counting-sorted on the key id: block k's are
-    * `members(blockStart(k) until blockStart(k + 1))`.
-    *
-    * @return the members and the block starts
-    */
-  private def group(tokenKey: Array[Int], nKeys: Int): (Array[Int], Array[Int]) = {
-    val blockStart = new Array[Int](nKeys + 1)
-    var x = 0
-    while (x < tokenIds.length) {
-      val k = tokenKey(tokenIds(x))
-      if (k >= 0) blockStart(k + 1) += 1
-      x += 1
-    }
-    var k = 0
-    while (k < nKeys) { blockStart(k + 1) += blockStart(k); k += 1 }
-    val next = Arrays.copyOf(blockStart, nKeys)
-    val members = new Array[Int](blockStart(nKeys))
+  /** The profile of every placement, filled afresh on every call. */
+  private[repro] def placementProfiles: Array[Int] = {
+    val profileOf = new Array[Int](tokenIds.length)
     var p = 0
-    while (p < pc.size) {
-      x = start(p)
-      while (x < start(p + 1)) {
-        val k = tokenKey(tokenIds(x))
-        if (k >= 0) { members(next(k)) = p; next(k) += 1 }
-        x += 1
-      }
-      p += 1
-    }
-    (members, blockStart)
+    while (p < pc.size) { Arrays.fill(profileOf, start(p), start(p + 1), p); p += 1 }
+    profileOf
   }
 }
 

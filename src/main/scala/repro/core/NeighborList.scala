@@ -57,12 +57,8 @@ object NeighborList {
     fromIndex(index, pc.size, seed, ForkJoin.cut(index.tokenIds.length, ranges)(_ => 1L))
   }
 
-  private def fromIndex(index: TokenIndex, nProfiles: Int, seed: Int, bounds: Array[Int]): NeighborList = {
-    val ids = new Array[Int](index.tokenIds.length)
-    var p = 0
-    while (p < nProfiles) { Arrays.fill(ids, index.start(p), index.start(p + 1), p); p += 1 }
-    sorted(index.tokens, index.tokenIds, ids, nProfiles, seed, bounds)
-  }
+  private def fromIndex(index: TokenIndex, nProfiles: Int, seed: Int, bounds: Array[Int]): NeighborList =
+    sorted(index.tokens, index.tokenIds, index.placementProfiles, nProfiles, seed, bounds)
 
   /** Build from explicit (key, profileId) placements — used by tests and by
     * the schema-based PSN (single key per profile).
@@ -87,9 +83,11 @@ object NeighborList {
   /** The list of placements k: profile `ids(k)` under key `keys(keyOf(k))`,
     * in the order of a stable sort on (key, tie). `keys` are distinct.
     *
-    * The keys are sorted once, giving each its rank; every placement's rank
-    * and its tie-break payload, tie · 2^31 + k, are filled per range in
-    * parallel, then `RankSort` orders the placements by (rank, payload).
+    * The keys are sorted once, giving each its rank, and `RankSort.group`
+    * groups the placements by rank. Every position's tie-break payload,
+    * tie · 2^31 + k, is filled per range in parallel, then every rank's run
+    * of payloads is sorted: the order (rank, tie, k). The Position Index
+    * groups the positions by profile.
     */
   private def sorted(
       keys: Array[String],
@@ -104,38 +102,35 @@ object NeighborList {
     val ranks = new TokenIndex.Dictionary(sortedKeys.length)
     sortedKeys.foreach(ranks.id)
     val rankOfKey = keys.map(ranks.id)
-
     val rank = new Array[Int](n)
+    var x = 0
+    while (x < n) { rank(x) = rankOfKey(keyOf(x)); x += 1 }
+    val (order, start) = RankSort.group(rank, sortedKeys.length)
+
     val payload = new Array[Long](n)
     ForkJoin.all(bounds.length - 1) { q =>
-      var k = bounds(q)
-      while (k < bounds(q + 1)) {
-        val key = keyOf(k)
-        rank(k) = rankOfKey(key)
-        payload(k) = (tie(keys(key), ids(k), seed).toLong << 31) | k
-        k += 1
+      var pos = bounds(q)
+      while (pos < bounds(q + 1)) {
+        val k = order(pos)
+        payload(pos) = (tie(keys(keyOf(k)), ids(k), seed).toLong << 31) | k
+        pos += 1
       }
     }
-    val (order, start) = RankSort.sort(rank, sortedKeys.length, payload)
-
     val entries = new Array[Int](n)
     val listKeys = new Array[String](n)
-    val placed = new Array[Int](nProfiles)
-    for (r <- sortedKeys.indices; pos <- start(r) until start(r + 1)) {
-      val id = ids((order(pos) & Int.MaxValue).toInt)
-      entries(pos) = id
-      listKeys(pos) = sortedKeys(r)
-      placed(id) += 1
+    var r = 0
+    while (r < sortedKeys.length) {
+      Arrays.sort(payload, start(r), start(r + 1))
+      x = start(r)
+      while (x < start(r + 1)) {
+        entries(x) = ids((payload(x) & Int.MaxValue).toInt)
+        listKeys(x) = sortedKeys(r)
+        x += 1
+      }
+      r += 1
     }
-    val positionIndex = placed.map(new Array[Int](_))
-    Arrays.fill(placed, 0)
-    var pos = 0
-    while (pos < n) {
-      val id = entries(pos)
-      positionIndex(id)(placed(id)) = pos
-      placed(id) += 1
-      pos += 1
-    }
+    val (positions, from) = RankSort.group(entries, nProfiles)
+    val positionIndex = Array.tabulate(nProfiles)(p => Arrays.copyOfRange(positions, from(p), from(p + 1)))
     new NeighborList(entries, listKeys, positionIndex)
   }
 }

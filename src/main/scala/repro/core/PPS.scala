@@ -38,7 +38,7 @@ final class PPS(
     val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
     val top = mutable.ArrayBuffer.empty[Comparison]
     val topPairs = mutable.HashSet.empty[Long]
-    val ids = mutable.ArrayBuilder.make[Long]
+    val ids = mutable.ArrayBuilder.make[Int]
     val likelihoods = mutable.ArrayBuilder.make[Double]
     var i = 0
     while (i < pc.size) {
@@ -61,8 +61,9 @@ final class PPS(
     }
     // the Sorted Profile List: descending likelihood, ties by ascending id
     val (rank, distinct) = RankSort.rank(likelihoods.result(), ids.length)
-    val (order, _) = RankSort.sort(rank, distinct.length, ids.result())
-    PPS.Init(top.toVector.sorted(Comparison.byDescendingWeight), order.iterator.map(_.toInt).toVector)
+    val profiles = ids.result()
+    val sortedProfiles = RankSort.group(rank, distinct.length)._1.iterator.map(profiles(_)).toVector
+    PPS.Init(top.toVector.sorted(Comparison.byDescendingWeight), sortedProfiles)
   }
 
   def emissions: Iterator[Comparison] = {

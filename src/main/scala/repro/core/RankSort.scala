@@ -2,42 +2,37 @@ package repro.core
 
 import java.util.Arrays
 
-/** The one sort behind the Neighbor List, the LS-PSN / GS-PSN Comparison
-  * Lists, the PPS Sorted Profile List and the cardinality order of blocks:
-  * primitive keys only, no comparator, and a total order, so the result is
-  * fully determined by the input.
+/** The one sequential counting sort, and the dense ranks it groups by.
   *
-  * Each element has a primary key, ranked densely through a sorted
-  * dictionary of its distinct values, and a unique `Long` payload that
-  * breaks ties. The elements are counting-sorted by rank, then every rank's
-  * run of payloads is sorted ascending: the order (rank, payload).
+  * `group` groups elements under primitive keys, stably: no comparator, so
+  * the result is fully determined by the input. Every sequential grouping
+  * goes through it: the Neighbor List and its Position Index, the blocks of
+  * `TokenIndex.blocks`, the smallest-first block lists of Block Filtering,
+  * the cardinality order of blocks and the PPS Sorted Profile List. A key
+  * that orders by a `Double` or a `Long` is ranked densely first (`rank`).
   */
 private[repro] object RankSort {
 
-  /** Sort the first `rank.length` elements.
+  /** Group the elements by key, a stable counting sort: the indices of the
+    * elements with a key in `0 until nKeys`, ascending within a key; an
+    * element whose key is -1 is dropped.
     *
-    * @return the payloads in (rank, payload) order, and the start of every
-    *         rank's run (`start(r) until start(r + 1)`; length `nRanks + 1`)
+    * @return the grouped indices, and the start of every key's run
+    *         (`start(k) until start(k + 1)`; length `nKeys + 1`)
     */
-  def sort(rank: Array[Int], nRanks: Int, payload: Array[Long]): (Array[Long], Array[Int]) = {
-    val start = new Array[Int](nRanks + 1)
+  def group(keys: Array[Int], nKeys: Int): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](nKeys + 1)
+    var x = 0
+    while (x < keys.length) { if (keys(x) >= 0) start(keys(x) + 1) += 1; x += 1 }
     var k = 0
-    while (k < rank.length) { start(rank(k) + 1) += 1; k += 1 }
-    var r = 0
-    while (r < nRanks) { start(r + 1) += start(r); r += 1 }
-    val next = Arrays.copyOf(start, nRanks)
-    val out = new Array[Long](rank.length)
-    k = 0
-    while (k < rank.length) {
-      val rk = rank(k)
-      out(next(rk)) = payload(k)
-      next(rk) += 1
-      k += 1
-    }
-    r = 0
-    while (r < nRanks) {
-      if (start(r + 1) - start(r) > 1) Arrays.sort(out, start(r), start(r + 1))
-      r += 1
+    while (k < nKeys) { start(k + 1) += start(k); k += 1 }
+    val next = Arrays.copyOf(start, nKeys)
+    val out = new Array[Int](start(nKeys))
+    x = 0
+    while (x < keys.length) {
+      val key = keys(x)
+      if (key >= 0) { out(next(key)) = x; next(key) += 1 }
+      x += 1
     }
     (out, start)
   }

@@ -157,6 +157,23 @@ class PropertySpec extends SparkSpec {
     }
   }
 
+  test("RankSort.group equals the stable sort of the keyed indices, -1 dropped") {
+    val gen = for {
+      nKeys <- Gen.choose(0, 6)
+      keys  <- Gen.listOf(Gen.choose(-1, nKeys - 1))
+    } yield (keys.toArray, nKeys)
+    // empty input, no keys, every key -1, a single key
+    val edges = Seq(
+      (Array.empty[Int], 0), (Array.empty[Int], 3), (Array(-1, -1), 0), (Array(-1, -1, -1), 2),
+      (Array(0), 1), (Array(0, 0, 0), 1), (Array(-1, 0, -1, 0), 1))
+    for ((keys, nKeys) <- samples(gen, 300) ++ edges) {
+      val (grouped, start) = RankSort.group(keys, nKeys)
+      val clue = (keys.toSeq, nKeys)
+      assert(grouped.toSeq === keys.indices.filter(keys(_) >= 0).sortBy(keys(_)), clue)
+      assert(start.toSeq === (0 to nKeys).map(k => keys.count(key => key >= 0 && key < k)), clue)
+    }
+  }
+
   /** The same Comparison List, freshly built (no run sorted yet), read in
     * each of the ways a consumer can read it.
     */

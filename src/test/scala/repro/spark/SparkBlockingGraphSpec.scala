@@ -21,7 +21,7 @@ class SparkBlockingGraphSpec extends SparkSpec {
     val got = edges.collect()
       .map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
     assert(got.keySet === local.keySet)
-    for ((p, w) <- got) assert(math.abs(w - local(p)) < 1e-9, s"pair $p")
+    for ((p, w) <- got) assert(w === local(p), s"pair $p")
   }
 
   test("ARCS edge weights are oracle-checked against DuckDB SQL") {

@@ -3,10 +3,26 @@ package repro.spark
 import repro.SparkSpec
 import repro.blocking.TokenBlockingWorkflow
 import repro.core._
-import repro.data.StructuredData
+import repro.data.{HeterogeneousData, StructuredData}
 import repro.eval.Metrics
 
 class SparkProgressiveSpec extends SparkSpec {
+
+  private def driverPbs(pc: ProfileCollection): Iterator[Comparison] =
+    new PBS(pc, TokenBlockingWorkflow.profileIndex(pc)).emissions
+
+  private def driverGsPsn(pc: ProfileCollection, wMax: Int): Iterator[Comparison] =
+    new GSPSN(pc, NeighborList.build(pc), wMax).emissions
+
+  /** Assert that two streams are one sequence of (i, j, raw weight bits),
+    * reporting the first position where they part.
+    */
+  private def assertSameStream(distributed: Iterator[Comparison], driver: Iterator[Comparison], clue: String): Unit = {
+    def exact(cs: Iterator[Comparison]) = cs.map(c => (c.i, c.j, java.lang.Double.doubleToRawLongBits(c.weight))).toVector
+    val (s, d) = (exact(distributed), exact(driver))
+    for (k <- (0 until math.max(s.size, d.size)).find(k => s.lift(k) != d.lift(k)))
+      fail(s"$clue: spark ${s.size} vs driver ${d.size} comparisons, first difference at $k: ${s.lift(k)} vs ${d.lift(k)}")
+  }
 
   test("end-to-end distributed PBS equals the driver-side PBS on census") {
     val ds = StructuredData.census()
@@ -53,5 +69,34 @@ class SparkProgressiveSpec extends SparkSpec {
     val ds = repro.data.HeterogeneousData.movies(0.005)
     val it = SparkProgressive.emissions(SparkProgressive.pbs(spark, ds.pc))
     it.take(500).foreach(c => assert(ds.pc.source(c.i) != ds.pc.source(c.j)))
+  }
+
+  /** |P| = 0 and |P| = 1 for both ER types, profiles without a token, and a
+    * Clean-clean collection with a single source: each stream is empty or
+    * valid on both paths.
+    */
+  private val degenerate: Seq[(String, ProfileCollection)] = {
+    def profile(id: Int, source: Int, value: String) = Profile(id, source, Vector("v" -> value))
+    Seq(
+      "|P| = 0, Dirty"       -> ProfileCollection(Vector.empty, DirtyEr),
+      "|P| = 0, Clean-clean" -> ProfileCollection(Vector.empty, CleanCleanEr),
+      "|P| = 1, Dirty"       -> ProfileCollection(Vector(profile(0, 0, "alpha beta")), DirtyEr),
+      "|P| = 1, Clean-clean" -> ProfileCollection(Vector(profile(0, 1, "alpha beta")), CleanCleanEr),
+      "token-free profiles"  -> ProfileCollection(Vector(profile(0, 0, ""), profile(1, 0, "--"), profile(2, 0, "?! ;")), DirtyEr),
+      "single-source Clean-clean" -> ProfileCollection(
+        Vector(profile(0, 1, "alpha beta"), profile(1, 1, "alpha gamma"), profile(2, 1, "beta gamma")), CleanCleanEr))
+  }
+
+  test("distributed PBS emits the driver's PBS stream, weights bit for bit, degenerate collections included") {
+    val cases = Seq("census" -> StructuredData.census().pc, "movies" -> HeterogeneousData.movies(0.005).pc) ++ degenerate
+    for ((name, pc) <- cases)
+      assertSameStream(SparkProgressive.emissions(SparkProgressive.pbs(spark, pc)), driverPbs(pc), name)
+  }
+
+  test("distributed GS-PSN emits the driver's GS-PSN stream, weights bit for bit, degenerate collections included") {
+    val cases = Seq(("paper example", PaperExample.pc, 4), ("census", StructuredData.census().pc, 20)) ++
+      degenerate.map { case (name, pc) => (name, pc, 3) }
+    for ((name, pc, wMax) <- cases)
+      assertSameStream(SparkProgressive.emissions(SparkProgressive.gsPsn(spark, pc, wMax)), driverGsPsn(pc, wMax), name)
   }
 }
