@@ -129,13 +129,48 @@ private[core] object WindowScan {
     */
   private val MinWork = 1L << 15
 
+  /** The Neighbor List as the scan counts it: the ids of the valid partners
+    * of an outer profile, in position order, and `before(pos)`, the number of
+    * those ids at positions before `pos` (0 ≤ `pos` ≤ |NL|). The partners in
+    * positions `[a, b)` are then the slice `ids(before(a) until before(b))`.
+    *
+    * Dirty ER counts every entry, so the view is the Neighbor List itself
+    * and `before(pos) = pos`. Clean-clean ER counts only the positions whose
+    * source is not 1 (the outer profiles are P1's): a copy of their ids and
+    * the prefix counts, 4 bytes per partner placement plus 4 per position.
+    */
+  final class PartnerView private (val ids: Array[Int], starts: Array[Int]) {
+    def before(pos: Int): Int = if (starts == null) pos else starts(pos)
+  }
+
+  object PartnerView {
+    def apply(pc: ProfileCollection, nl: NeighborList): PartnerView =
+      if (pc.erType == DirtyEr) new PartnerView(nl.entries, null)
+      else {
+        val starts = new Array[Int](nl.size + 1)
+        var pos = 0
+        while (pos < nl.size) {
+          starts(pos + 1) = starts(pos) + (if (pc.source(nl.entries(pos)) != 1) 1 else 0)
+          pos += 1
+        }
+        val ids = new Array[Int](starts(nl.size))
+        pos = 0
+        while (pos < nl.size) {
+          if (starts(pos + 1) > starts(pos)) ids(starts(pos)) = nl.entries(pos)
+          pos += 1
+        }
+        new PartnerView(ids, starts)
+      }
+  }
+
   /** The sorted Comparison List of the window sizes `[wLo, wHi]`, scanned in
     * up to one range of profiles per processor.
     */
-  def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int): ComparisonList = {
+  def comparisons(pc: ProfileCollection, nl: NeighborList, view: PartnerView, wLo: Int, wHi: Int): ComparisonList = {
     val ids = pc.source1Ids.toArray
     val windows = (wHi - wLo + 1).toLong
-    comparisons(pc, nl, wLo, wHi, ids, ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * windows))
+    comparisons(pc, nl, view, wLo, wHi, ids,
+      ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * windows))
   }
 
   /** The same list, with `pc.source1Ids` cut into `ranges` contiguous
@@ -145,33 +180,46 @@ private[core] object WindowScan {
     */
   def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int, ranges: Int): ComparisonList = {
     val ids = pc.source1Ids.toArray
-    comparisons(pc, nl, wLo, wHi, ids, ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
+    comparisons(pc, nl, PartnerView(pc, nl), wLo, wHi, ids,
+      ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
   }
 
   private def comparisons(
       pc: ProfileCollection,
       nl: NeighborList,
+      view: PartnerView,
       wLo: Int,
       wHi: Int,
       ids: Array[Int],
       bounds: Array[Int]): ComparisonList =
-    ComparisonList.of(ForkJoin.all(bounds.length - 1)(q => scan(pc, nl, ids, bounds(q), bounds(q + 1), wLo, wHi)))
+    ComparisonList.of(ForkJoin.all(bounds.length - 1)(q => scan(pc, nl, view, ids, bounds(q), bounds(q + 1), wLo, wHi)))
 
   /** The comparisons of the profiles `ids(from until until)`.
     *
     * The outer loop runs over all profiles for Dirty ER and only the P1 side
     * for Clean-clean ER (Sec. 5.1.1). For each profile `i` it counts, over
-    * both directions from every position of `i` (Algorithm 1 lines 8–16),
-    * how often each valid neighbor co-occurs with it — Dirty ER: `j < i`,
-    * so every pair is counted from its larger id only; Clean-clean ER: `j`
-    * on the other source. The counts live in one dense array plus the list
-    * of neighbors touched, reset after each profile. Every counted neighbor
-    * is weighted with RCF (lines 17–19); the frequencies are summed over
+    * both directions from every position `pos` of `i` (Algorithm 1 lines
+    * 8–16), how often each neighbor in `view` co-occurs with it: the two
+    * slices of `view.ids` at positions `[pos - wHi, pos - wLo]` and
+    * `[pos + wLo, pos + wHi]`, clipped to the list. Clean-clean ER thus visits
+    * only partners on the other source. Dirty ER counts every entry, `i`
+    * itself included, and keeps a neighbor only if `j < i` when it weights
+    * it, so every pair is counted from its larger id only. The view of
+    * Clean-clean ER costs 4 bytes per Neighbor List position plus 4 per
+    * partner placement: GS-PSN builds it for its one scan, LS-PSN once for
+    * all its windows. Dirty ER's view is the Neighbor List itself.
+    *
+    * The counts live in one dense array plus the list of neighbors touched,
+    * reset after each profile. The counting loop has no data-dependent
+    * branch: every step writes its id to the next free slot of `touched` and
+    * moves past it only on the id's first touch. Every kept neighbor is
+    * weighted with RCF (lines 17–19); the frequencies are summed over
     * `wHi - wLo + 1` window sizes.
     */
   private def scan(
       pc: ProfileCollection,
       nl: NeighborList,
+      view: PartnerView,
       ids: Array[Int],
       from: Int,
       until: Int,
@@ -179,9 +227,11 @@ private[core] object WindowScan {
       wHi: Int): ComparisonList.Part = {
     val windows = wHi - wLo + 1
     val dirty = pc.erType == DirtyEr
-    val entries = nl.entries
+    val size = nl.size.toLong
     val count = new Array[Int](pc.size)
-    val touched = new Array[Int](pc.size)
+    // One slot more than the profiles: a step writes touched(nt) before it
+    // knows whether its id is new, and nt reaches |P| when every id is.
+    val touched = new Array[Int](pc.size + 1)
     val negatedWeights = new RankSort.Dictionary
     var placements = 0L
     var x = from
@@ -191,33 +241,18 @@ private[core] object WindowScan {
     var pairs = new Array[Long](math.min(bound.toLong, math.max(16L, placements)).toInt)
     var weightIds = new Array[Int](pairs.length)
     var n = 0
+    // The slice bound of Neighbor List position p, clipped to [0, |NL|].
+    def at(p: Long): Int = view.before(math.max(0L, math.min(size, p)).toInt)
     x = from
     while (x < until) {
       val i = ids(x)
       val positions = nl.positionsOf(i)
-      val srcI = pc.source(i)
       var nt = 0
       var pi = 0
       while (pi < positions.length) {
-        val pos = positions(pi)
-        var w = wLo
-        while (w <= wHi) {
-          if (pos + w < entries.length) {
-            val j = entries(pos + w)
-            if (if (dirty) j < i else pc.source(j) != srcI) {
-              if (count(j) == 0) { touched(nt) = j; nt += 1 }
-              count(j) += 1
-            }
-          }
-          if (pos - w >= 0) {
-            val j = entries(pos - w)
-            if (if (dirty) j < i else pc.source(j) != srcI) {
-              if (count(j) == 0) { touched(nt) = j; nt += 1 }
-              count(j) += 1
-            }
-          }
-          w += 1
-        }
+        val pos = positions(pi).toLong
+        nt = tally(view.ids, at(pos - wHi), at(pos - wLo + 1), count, touched, nt)
+        nt = tally(view.ids, at(pos + wLo), at(pos + wHi + 1), count, touched, nt)
         pi += 1
       }
       if (n + nt > pairs.length) {
@@ -229,15 +264,36 @@ private[core] object WindowScan {
       var t = 0
       while (t < nt) {
         val j = touched(t)
-        pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
-        weightIds(n) = negatedWeights.id(-Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows))
+        if (!dirty || j < i) {
+          pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
+          weightIds(n) = negatedWeights.id(-Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows))
+          n += 1
+        }
         count(j) = 0
-        n += 1
         t += 1
       }
       x += 1
     }
     new ComparisonList.Part(pairs, weightIds, n, negatedWeights)
+  }
+
+  /** Counts every id of `ids(from until until)` in `count`, and lists the
+    * ids touched for the first time in `touched` from slot `nt` on; returns
+    * the new number of touched ids. Each step writes its id to slot `nt`
+    * and moves past it only on a first touch, with no branch.
+    */
+  private def tally(ids: Array[Int], from: Int, until: Int, count: Array[Int], touched: Array[Int], nt: Int): Int = {
+    var t = nt
+    var s = from
+    while (s < until) {
+      val j = ids(s)
+      val c = count(j)
+      touched(t) = j
+      t += (c - 1) >>> 31 // 1 if c == 0, else 0
+      count(j) = c + 1
+      s += 1
+    }
+    t
   }
 }
 
@@ -253,8 +309,13 @@ private[core] object WindowScan {
 final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMethod {
   val name = "LS-PSN"
 
+  /** The Neighbor List as the window scan counts it, built once for every
+    * window.
+    */
+  private lazy val view = WindowScan.PartnerView(pc, nl)
+
   /** The sorted Comparison List of one window size (Algorithm 1 for w). */
-  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, w, w)
+  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, view, w, w)
 
   def emissions: Iterator[Comparison] =
     Iterator.from(1).takeWhile(_ < nl.size).flatMap(w => windowComparisons(w).iterator)
@@ -291,7 +352,8 @@ final class GSPSN(
     math.min(wMax.toLong, math.max(1L, maxComparisons / math.max(1, nl.size))).toInt
 
   /** The single, global Comparison List over windows `[1, effectiveWMax]`. */
-  def globalComparisons(): ComparisonList = WindowScan.comparisons(pc, nl, 1, effectiveWMax)
+  def globalComparisons(): ComparisonList =
+    WindowScan.comparisons(pc, nl, WindowScan.PartnerView(pc, nl), 1, effectiveWMax)
 
   def emissions: Iterator[Comparison] = globalComparisons().iterator
 }

@@ -62,7 +62,19 @@ class PropertySpec extends SparkSpec {
       ProfileCollection(Vector.empty, DirtyEr),
       ProfileCollection(Vector.empty, CleanCleanEr),
       ProfileCollection(Vector(Profile(0, 0, Vector("v" -> "alpha beta"))), DirtyEr),
-      ProfileCollection(Vector(Profile(0, 1, Vector("v" -> "alpha beta"))), CleanCleanEr))
+      ProfileCollection(Vector(Profile(0, 1, Vector("v" -> "alpha beta"))), CleanCleanEr),
+      oneSource(1),
+      oneSource(2))
+
+  /** Clean-clean ER with every profile on one source: no partners at all
+    * (source 1), or no outer profiles (source 2).
+    */
+  private def oneSource(source: Int): ProfileCollection =
+    ProfileCollection(
+      Vector("alpha beta", "beta gamma", "alpha gamma beta").zipWithIndex.map { case (v, i) =>
+        Profile(i, source, Vector("v" -> v))
+      },
+      CleanCleanEr)
 
   /** The LS-PSN / GS-PSN window scan as it was before the primitive kernel:
     * a `LinkedHashMap` of neighbor frequencies per scanned profile, boxed
@@ -237,7 +249,7 @@ class PropertySpec extends SparkSpec {
   test("the window scan equals the reference scan for any cut into ranges") {
     for (pc <- anyCollections ++ samples(collectionGen, 20) :+ PaperExample.pc) {
       val nl = NeighborList.build(pc)
-      for ((wLo, wHi) <- Seq((1, 1), (2, 2), (1, 3), (1, nl.size + 1));
+      for ((wLo, wHi) <- Seq((1, 1), (2, 2), (1, 3), (1, nl.size + 1), (2, 5), (3, nl.size + 2));
            ranges <- Seq(1, 2, 3, 7, pc.source1Ids.size).filter(_ >= 1).distinct)
         assert(exact(WindowScan.comparisons(pc, nl, wLo, wHi, ranges)) === exact(referenceScan(pc, nl, wLo, wHi)),
           s"${pc.erType} |P|=${pc.size} windows=[$wLo, $wHi] ranges=$ranges")
