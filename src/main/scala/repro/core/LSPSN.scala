@@ -129,10 +129,10 @@ private[core] object WindowScan {
     */
   private val MinWork = 1L << 15
 
-  /** The Neighbor List as the scan counts it: the ids of the valid partners
-    * of an outer profile, in position order, and `before(pos)`, the number of
-    * those ids at positions before `pos` (0 ≤ `pos` ≤ |NL|). The partners in
-    * positions `[a, b)` are then the slice `ids(before(a) until before(b))`.
+  /** The Neighbor List as the scan counts it: the ids it counts, in
+    * position order, and `before(pos)`, the number of those ids at positions
+    * before `pos` (0 ≤ `pos` ≤ |NL|). The ids counted in positions `[a, b)`
+    * are then the slice `ids(before(a) until before(b))`.
     *
     * Dirty ER counts every entry, so the view is the Neighbor List itself
     * and `before(pos) = pos`. Clean-clean ER counts only the positions whose
