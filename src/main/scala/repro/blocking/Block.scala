@@ -77,7 +77,9 @@ final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
     */
   def cardinalityOrder: (Array[Int], Array[Long]) = {
     val cards = new Array[Long](blocks.size)
-    for (k <- cards.indices) cards(k) = blocks(k).cardinality(pc)
+    val it = blocks.iterator
+    var k = 0
+    while (it.hasNext) { cards(k) = it.next().cardinality(pc); k += 1 }
     val (rank, nRanks) = RankSort.rank(cards)
     (RankSort.group(rank, nRanks)._1, cards)
   }

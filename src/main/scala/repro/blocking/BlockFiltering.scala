@@ -14,30 +14,55 @@ object BlockFiltering {
 
   def filter(bc: BlockCollection, ratio: Double = 0.8): BlockCollection = {
     val pc = bc.pc
+    val blocks = bc.blocks.toArray
     val (order, _) = bc.cardinalityOrder
     // every membership (block blockOf(m), profile profileOf(m)), the blocks
     // smallest first; the blocks of profile p, smallest first, are the
     // blockOf(byProfile(x)) for x in start(p) until start(p + 1)
-    val blockOf, profileOf = new Array[Int](bc.blocks.iterator.map(_.size).sum)
+    var memberships = 0
+    var b = 0
+    while (b < blocks.length) { memberships += blocks(b).size; b += 1 }
+    val blockOf, profileOf = new Array[Int](memberships)
     var m = 0
-    for (bi <- order; p <- bc.blocks(bi).profiles) { blockOf(m) = bi; profileOf(m) = p; m += 1 }
-    val (byProfile, start) = RankSort.group(profileOf, pc.size)
-    // each profile keeps the head of its list; fill the blocks in ascending
-    // profile id
-    val keep = Array.tabulate(pc.size)(p => keepCount(start(p + 1) - start(p), ratio))
-    val kept = new Array[Int](bc.blocks.size)
-    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) kept(blockOf(byProfile(x))) += 1
-    val retained = kept.map(new Array[Int](_))
-    java.util.Arrays.fill(kept, 0)
-    for (p <- 0 until pc.size; x <- start(p) until start(p) + keep(p)) {
-      val bi = blockOf(byProfile(x))
-      retained(bi)(kept(bi)) = p
-      kept(bi) += 1
+    var o = 0
+    while (o < order.length) {
+      val ids = blocks(order(o)).profiles
+      var x = 0
+      while (x < ids.length) { blockOf(m) = order(o); profileOf(m) = ids(x); m += 1; x += 1 }
+      o += 1
     }
-    val blocks = bc.blocks.indices
-      .map(bi => Block(bc.blocks(bi).key, retained(bi)))
-      .filter(_.cardinality(pc) > 0)
-      .toVector
-    bc.copy(blocks = blocks)
+    val (byProfile, start) = RankSort.group(profileOf, pc.size)
+    // each profile keeps the head of its list, the memberships up to
+    // keptUntil(p); the blocks are filled in ascending profile id
+    val keptUntil = new Array[Int](pc.size)
+    val kept = new Array[Int](blocks.length)
+    var p = 0
+    while (p < pc.size) {
+      keptUntil(p) = start(p) + keepCount(start(p + 1) - start(p), ratio)
+      var x = start(p)
+      while (x < keptUntil(p)) { kept(blockOf(byProfile(x))) += 1; x += 1 }
+      p += 1
+    }
+    val retained = new Array[Array[Int]](blocks.length)
+    b = 0
+    while (b < blocks.length) { retained(b) = new Array[Int](kept(b)); kept(b) = 0; b += 1 }
+    p = 0
+    while (p < pc.size) {
+      var x = start(p)
+      while (x < keptUntil(p)) {
+        val bi = blockOf(byProfile(x))
+        retained(bi)(kept(bi)) = p
+        kept(bi) += 1
+        x += 1
+      }
+      p += 1
+    }
+    val filtered = Vector.newBuilder[Block]
+    b = 0
+    while (b < blocks.length) {
+      if (Block.cardinality(pc, retained(b), retained(b).length) > 0) filtered += Block(blocks(b).key, retained(b))
+      b += 1
+    }
+    bc.copy(blocks = filtered.result())
   }
 }

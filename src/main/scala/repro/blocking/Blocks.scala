@@ -27,7 +27,8 @@ final class TokenIndex private (
     *
     * A block holds the ascending, distinct ids of the profiles with at least
     * one token yielding its key; blocks without an executable comparison
-    * (`Block.cardinality` 0) are dropped. `keyOf` runs once per distinct
+    * (`Block.cardinality` 0) are dropped, and the survivors are sorted by
+    * key with one `Arrays.parallelSort`. `keyOf` runs once per distinct
     * token. `RankSort.group` groups the placements by key id: placements are
     * in profile order, so every block's ids come out ascending, a profile's
     * repeats adjacent.
@@ -50,8 +51,7 @@ final class TokenIndex private (
     val (members, blockStart) = RankSort.group(placementKey, keys.size)
     val profileOf = placementProfiles
 
-    val profilesOf = new Array[Array[Int]](keys.size)
-    val survivors = mutable.ArrayBuffer.empty[String]
+    val survivors = mutable.ArrayBuffer.empty[Block]
     val ids = new Array[Int](pc.size)
     var k = 0
     while (k < keys.size) {
@@ -62,10 +62,11 @@ final class TokenIndex private (
         if (n == 0 || ids(n - 1) != p) { ids(n) = p; n += 1 }
         x += 1
       }
-      if (Block.cardinality(pc, ids, n) > 0) { profilesOf(k) = Arrays.copyOf(ids, n); survivors += keys(k) }
+      if (Block.cardinality(pc, ids, n) > 0) survivors += Block(keys(k), Arrays.copyOf(ids, n))
       k += 1
     }
-    val blocks = survivors.toArray.sorted.iterator.map(key => Block(key, profilesOf(keys.id(key))))
+    val blocks = survivors.toArray
+    Arrays.parallelSort(blocks, TokenIndex.byKey)
     BlockCollection(blocks.toVector, pc)
   }
 
@@ -79,6 +80,9 @@ final class TokenIndex private (
 }
 
 object TokenIndex {
+
+  /** Blocks in `String.compareTo` order of their keys. */
+  private val byKey: java.util.Comparator[Block] = (a, b) => a.key.compareTo(b.key)
 
   /** Attribute values below which a range of profiles is not worth a task
     * of its own.

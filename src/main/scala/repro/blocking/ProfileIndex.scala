@@ -10,11 +10,17 @@ import repro.core.ProfileCollection
   * block-id array is ascending — which makes both Profile Index operations
   * (the LeCoBI condition and Edge Weighting) a linear merge of two sorted
   * lists, exactly as the paper describes.
+  *
+  * @param members the ascending profile ids of every block, by block id
   */
 final class ProfileIndex private (
     val orderedBlocks: Vector[Block],
     val cardinalities: Array[Long],
+    private[repro] val members: Array[Array[Int]],
     private val blockIds: Array[Array[Int]]) {
+
+  /** The ARCS term of every block, `Arcs.term` of its cardinality. */
+  private[repro] val arcsTerms: Array[Double] = cardinalities.map(Arcs.term)
 
   /** Ascending block ids of profile `i` (B_i). Empty if unindexed. */
   def blocksOf(i: Int): Array[Int] = blockIds(i)
@@ -32,6 +38,26 @@ final class ProfileIndex private (
       else y += 1
     }
     -1
+  }
+
+  /** The ARCS weight of (i, j) if block `k`, which holds both, is their
+    * least common block, else -1: one merge, which stops at the first
+    * shared id if it is below `k`. Otherwise the terms add from 0.0 in
+    * ascending block id, as in `Arcs.weight`, so the weight has its raw
+    * bits.
+    */
+  private[repro] def arcsIfLeast(k: Int, i: Int, j: Int): Double = {
+    val a = blockIds(i); val b = blockIds(j)
+    var x = 0; var y = 0; var s = 0.0
+    while (x < a.length && y < b.length) {
+      if (a(x) == b(y)) {
+        if (a(x) < k) return -1.0
+        s += arcsTerms(a(x)); x += 1; y += 1
+      }
+      else if (a(x) < b(y)) x += 1
+      else y += 1
+    }
+    s
   }
 
   /** Number of blocks shared by `i` and `j` (linear merge). */
@@ -60,13 +86,33 @@ object ProfileIndex {
   def build(bc: BlockCollection): ProfileIndex = {
     val pc: ProfileCollection = bc.pc
     val (order, cards) = bc.cardinalityOrder
-    val ordered = order.iterator.map(bc.blocks).toVector
+    val blocks = bc.blocks.toArray
+    val ordered = new Array[Block](order.length)
+    val members = new Array[Array[Int]](order.length)
     val count = new Array[Int](pc.size)
-    for (b <- ordered; p <- b.profiles) count(p) += 1
-    val ids = count.map(new Array[Int](_))
-    java.util.Arrays.fill(count, 0)
+    var k = 0
+    while (k < order.length) {
+      ordered(k) = blocks(order(k))
+      members(k) = ordered(k).profiles
+      var x = 0
+      while (x < members(k).length) { count(members(k)(x)) += 1; x += 1 }
+      k += 1
+    }
+    val ids = new Array[Array[Int]](pc.size)
+    var p = 0
+    while (p < pc.size) { ids(p) = new Array[Int](count(p)); count(p) = 0; p += 1 }
     // filled in ascending block id, so every profile's array is sorted
-    for (bi <- ordered.indices; p <- ordered(bi).profiles) { ids(p)(count(p)) = bi; count(p) += 1 }
-    new ProfileIndex(ordered, order.map(cards), ids)
+    k = 0
+    while (k < members.length) {
+      var x = 0
+      while (x < members(k).length) {
+        p = members(k)(x)
+        ids(p)(count(p)) = k
+        count(p) += 1
+        x += 1
+      }
+      k += 1
+    }
+    new ProfileIndex(ordered.toVector, order.map(cards), members, ids)
   }
 }

@@ -20,10 +20,17 @@ final class PBS(pc: ProfileCollection, val profileIndex: ProfileIndex) extends P
     * block's non-repeated comparisons — its Blocking Graph edges — in
     * descending edge weight.
     */
-  def blockComparisons(k: Int): Vector[Comparison] =
-    BlockingGraph.blockEdges(pc, profileIndex, k).toVector
-      .sorted(Comparison.byDescendingWeight)
+  def blockComparisons(k: Int): Vector[Comparison] = sorted(k).toVector
 
   def emissions: Iterator[Comparison] =
-    Iterator.range(0, profileIndex.orderedBlocks.size).flatMap(blockComparisons(_).iterator)
+    Iterator.range(0, profileIndex.orderedBlocks.size).flatMap(sorted)
+
+  /** Block `k`'s edges, packed in (i, j) order, then ordered by
+    * `RankSort.descending`; a `Comparison` is built only when read.
+    */
+  private def sorted(k: Int): Iterator[Comparison] = {
+    val edges = BlockingGraph.BlockEdges(pc, profileIndex, k)
+    val order = RankSort.descending(edges.weights, edges.n)
+    Iterator.range(0, edges.n).map(x => edges.comparison(order(x)))
+  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
+import java.util.Arrays
 import repro.blocking.{BlockingGraph, ProfileIndex}
-import scala.collection.mutable
 
 /** Progressive Profile Scheduling (Sec. 5.2.2, Algorithms 5 and 6).
   *
@@ -9,8 +9,8 @@ import scala.collection.mutable
   * average ARCS weight of its incident Blocking Graph edges — and profiles are
   * processed in decreasing duplication likelihood (the Sorted Profile List).
   *
-  * Initialization emits the top-weighted comparison of every node (collected
-  * into a set, so none repeats). The emission phase then walks the Sorted
+  * Initialization emits the top-weighted comparison of every node (each
+  * pair once). The emission phase then walks the Sorted
   * Profile List; for each profile it gathers the `kMax` top-weighted
   * comparisons among its not-yet-checked neighbors (checkedEntities skips
   * pairs whose more-reliable endpoint was already processed). Comparisons
@@ -27,60 +27,105 @@ final class PPS(
   val name = "PPS"
 
   /** Algorithm 5: duplication likelihoods, Sorted Profile List and the
-    * deduplicated set of per-node top comparisons, sorted.
+    * deduplicated set of per-node top comparisons, sorted. The
+    * neighbourhoods are loaded in up to one contiguous range of profile ids
+    * per processor, of about equal neighbourhood work.
     *
     * A profile's duplication likelihood is the sum of its edge weights in the
     * neighbourhood kernel's first-touch order — ascending block id, then
     * ascending profile id — divided by its degree. The order fixes the
     * rounding of the sum, so it depends on the Profile Index alone.
     */
-  def initialize(): PPS.Init = {
-    val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
-    val top = mutable.ArrayBuffer.empty[Comparison]
-    val topPairs = mutable.HashSet.empty[Long]
-    val ids = mutable.ArrayBuilder.make[Int]
-    val likelihoods = mutable.ArrayBuilder.make[Double]
-    var i = 0
-    while (i < pc.size) {
-      val n = nb.load(i)
-      if (n > 0) {
-        var sum = 0.0
-        var best = 0
-        var k = 0
-        while (k < n) {
-          sum += nb.weight(k)
-          if (PPS.precedes(nb.weight(k), nb.neighbor(k), nb.weight(best), nb.neighbor(best))) best = k
-          k += 1
+  def initialize(): PPS.Init = initialize(ForkJoin.ranges(pc.size, PPS.MinWork)(neighborhoodWork))
+
+  /** The kernel's work to load the neighbourhood of node `i`: the members of
+    * its blocks.
+    */
+  private def neighborhoodWork(i: Int): Long = {
+    val blocks = profileIndex.blocksOf(i)
+    var work = 0L
+    var b = 0
+    while (b < blocks.length) { work += profileIndex.members(blocks(b)).length; b += 1 }
+    work
+  }
+
+  /** Algorithm 5 with the neighbourhoods loaded in the contiguous ranges of
+    * profile ids `bounds` (range q is `bounds(q) until bounds(q + 1)`), one
+    * kernel each, in parallel. A node's likelihood and top edge depend on its
+    * own neighbourhood alone; they are kept by id and merged in id order, so
+    * the result does not depend on the cut.
+    */
+  private[repro] def initialize(bounds: Array[Int]): PPS.Init = {
+    // every node's negated likelihood, and the other end and the weight of
+    // its top edge; the other end is -1 for a node without edges
+    val negatedLikelihood = new Array[Double](pc.size)
+    val topJ = new Array[Int](pc.size)
+    val topW = new Array[Double](pc.size)
+    ForkJoin.all(bounds.length - 1) { q =>
+      val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
+      var i = bounds(q)
+      while (i < bounds(q + 1)) {
+        val n = nb.load(i)
+        topJ(i) = -1
+        if (n > 0) {
+          var sum = 0.0
+          var best = 0
+          var k = 0
+          while (k < n) {
+            sum += nb.weight(k)
+            if (PPS.precedes(nb.weight(k), nb.neighbor(k), nb.weight(best), nb.neighbor(best))) best = k
+            k += 1
+          }
+          negatedLikelihood(i) = -(sum / n)
+          topJ(i) = nb.neighbor(best)
+          topW(i) = nb.weight(best)
         }
-        ids += i
-        likelihoods += -(sum / n)
-        val c = Comparison.of(i, nb.neighbor(best), nb.weight(best))
-        if (topPairs.add(PPS.pack(c))) top += c
+        i += 1
       }
-      i += 1
     }
     // the Sorted Profile List: descending likelihood, ties by ascending id
-    val (rank, distinct) = RankSort.rank(likelihoods.result(), ids.length)
-    val profiles = ids.result()
-    val sortedProfiles = RankSort.group(rank, distinct.length)._1.iterator.map(profiles(_)).toVector
-    PPS.Init(top.toVector.sorted(Comparison.byDescendingWeight), sortedProfiles)
+    val nodes = Array.range(0, pc.size).filter(topJ(_) >= 0)
+    val (rank, distinct) = RankSort.rank(nodes.map(negatedLikelihood), nodes.length)
+    val sortedProfiles = RankSort.group(rank, distinct.length)._1.iterator.map(nodes(_)).toVector
+    // the top edges, each pair once: a pair that is the top edge of both its
+    // ends is taken at its smaller end
+    val pairs = nodes.collect { case i if !(topJ(topJ(i)) == i && topJ(i) < i) => PPS.pack(i, topJ(i)) }
+    Arrays.sort(pairs)
+    val weights = pairs.map { p =>
+      val i = (p >>> 32).toInt
+      if (topJ(i) == p.toInt) topW(i) else topW(p.toInt)
+    }
+    val top = RankSort.descending(weights, pairs.length).iterator.map { x =>
+      Comparison((pairs(x) >>> 32).toInt, pairs(x).toInt, weights(x))
+    }
+    PPS.Init(top.toVector, sortedProfiles)
   }
 
   def emissions: Iterator[Comparison] = {
     val init = initialize()
-    val emittedAtInit = init.topComparisons.iterator.map(PPS.pack).toArray
-    java.util.Arrays.sort(emittedAtInit)
+    val emittedAtInit = init.topComparisons.iterator.map(c => PPS.pack(c.i, c.j)).toArray
+    Arrays.sort(emittedAtInit)
     val checked = new Array[Boolean](pc.size)
     val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
     init.topComparisons.iterator ++ init.sortedProfileList.iterator.flatMap { i =>
       checked(i) = true
       val n = nb.load(i)
-      val candidates = mutable.ArrayBuffer.empty[Comparison]
-      for (k <- 0 until n if !checked(nb.neighbor(k))) {
-        val c = Comparison.of(i, nb.neighbor(k), nb.weight(k))
-        if (java.util.Arrays.binarySearch(emittedAtInit, PPS.pack(c)) < 0) candidates += c
+      val candidates = new Array[Int](n)
+      var m = 0
+      var k = 0
+      while (k < n) {
+        val j = nb.neighbor(k)
+        if (!checked(j) && Arrays.binarySearch(emittedAtInit, PPS.pack(i, j)) < 0) { candidates(m) = j; m += 1 }
+        k += 1
       }
-      candidates.sorted(Comparison.byDescendingWeight).iterator.take(kMax)
+      // the kMax top by (−weight, j): for the edges of node i, the
+      // canonical pairs order as their other ends do
+      Arrays.sort(candidates, 0, m)
+      val weights = new Array[Double](m)
+      k = 0
+      while (k < m) { weights(k) = nb.weightTo(candidates(k)); k += 1 }
+      val order = RankSort.descending(weights, m)
+      Iterator.range(0, math.min(kMax, m)).map(x => Comparison.of(i, candidates(order(x)), weights(order(x))))
     }
   }
 }
@@ -92,7 +137,14 @@ object PPS {
       topComparisons: Vector[Comparison],
       sortedProfileList: Vector[Int])
 
-  private def pack(c: Comparison): Long = (c.i.toLong << 32) | c.j
+  /** Neighbourhood work below which a range of profiles is not worth a task
+    * of its own.
+    */
+  private val MinWork = 1L << 14
+
+  /** The pair of `a` and `b`, canonical and packed: `min << 32 | max`. */
+  private def pack(a: Int, b: Int): Long =
+    if (a < b) a.toLong << 32 | b else b.toLong << 32 | a
 
   /** Does edge (i, j) with weight `w` come before edge (i, bj) with weight
     * `bw` in `Comparison.byDescendingWeight`? For two edges of one node i,

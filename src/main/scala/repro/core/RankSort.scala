@@ -8,8 +8,10 @@ import java.util.Arrays
   * the result is fully determined by the input. Every sequential grouping
   * goes through it: the Neighbor List and its Position Index, the blocks of
   * `TokenIndex.blocks`, the smallest-first block lists of Block Filtering,
-  * the cardinality order of blocks and the PPS Sorted Profile List. A key
-  * that orders by a `Double` or a `Long` is ranked densely first (`rank`).
+  * the cardinality order of blocks, the PPS Sorted Profile List and the
+  * descending-weight order of PBS's and PPS's comparisons (`descending`). A
+  * key that orders by a `Double` or a `Long` is ranked densely first
+  * (`rank`).
   */
 private[repro] object RankSort {
 
@@ -35,6 +37,21 @@ private[repro] object RankSort {
       x += 1
     }
     (out, start)
+  }
+
+  /** The indices of the first `n` weights, by descending weight — ascending
+    * negated weight in `java.lang.Double.compare` order, as in
+    * `Comparison.byDescendingWeight` — and ascending within a weight: the
+    * `Comparison.byDescendingWeight` order of comparisons listed in
+    * ascending (i, j).
+    */
+  def descending(weights: Array[Double], n: Int): Array[Int] = {
+    if (n <= 1) return Array.range(0, n)
+    val negated = new Array[Double](n)
+    var k = 0
+    while (k < n) { negated(k) = -weights(k); k += 1 }
+    val (ranks, distinct) = rank(negated, n)
+    group(ranks, distinct.length)._1
   }
 
   /** Rank the first `n` doubles in `java.lang.Double.compare` order (the

@@ -510,6 +510,20 @@ class PropertySpec extends SparkSpec {
       s"$tiedBest of $nodes nodes with a tied best edge, $tiedLikelihoods tied likelihoods")
   }
 
+  test("PPS initialization equals the sequential initialization for any cut into ranges") {
+    for (pc <- blockingCollections ++ samples(collectionGen); bc <- blockInputs(pc).take(2)) {
+      val pi = ProfileIndex.build(bc)
+      val pps = new PPS(pc, pi)
+      val (expected, _) = BoxedReference.pps(pc, pi, 1)
+      for (q <- rangeCounts(pc)) {
+        val init = pps.initialize(ForkJoin.cut(pc.size, q)(_ => 1L))
+        val clue = s"${pc.erType} |P|=${pc.size} ranges=$q"
+        assert(exact(init.topComparisons) === exact(expected.topComparisons), clue)
+        assert(init.sortedProfileList === expected.sortedProfileList, clue)
+      }
+    }
+  }
+
   private def fullIndex(pc: ProfileCollection): ProfileIndex =
     ProfileIndex.build(TokenBlocking.build(pc))
 
