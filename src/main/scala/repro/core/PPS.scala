@@ -10,8 +10,8 @@ import repro.blocking.{BlockingGraph, ProfileIndex}
   * processed in decreasing duplication likelihood (the Sorted Profile List).
   *
   * Initialization emits the top-weighted comparison of every node (each
-  * pair once). The emission phase then walks the Sorted
-  * Profile List; for each profile it gathers the `kMax` top-weighted
+  * pair once). The emission phase then walks the Sorted Profile List; for
+  * each profile it gathers the `kMax` top-weighted
   * comparisons among its not-yet-checked neighbors (checkedEntities skips
   * pairs whose more-reliable endpoint was already processed). Comparisons
   * already emitted during initialization are not re-emitted.

@@ -4,7 +4,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.blocking.{
-  Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking, TokenIndex}
+  Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking, TokenIndex}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -508,6 +508,23 @@ class PropertySpec extends SparkSpec {
     // exercised.
     assert(tiedBest > 0 && tiedLikelihoods > 0,
       s"$tiedBest of $nodes nodes with a tied best edge, $tiedLikelihoods tied likelihoods")
+  }
+
+  test("PBS's block comparisons equal two merges, LeCoBI then ARCS, sorted boxed, in raw bits") {
+    var tiedBlocks = 0
+    for (pc <- blockingCollections ++ samples(collectionGen); bc <- blockInputs(pc)) {
+      val pi = ProfileIndex.build(bc)
+      val pbs = new PBS(pc, pi)
+      for (k <- pi.orderedBlocks.indices) {
+        val expected = pi.orderedBlocks(k).pairs(pc).collect {
+          case (i, j) if pi.lecobi(i, j) == k => Comparison(i, j, Arcs.weight(i, j, pi))
+        }.toVector.sorted(BoxedReference.byDescendingWeight)
+        if (expected.map(_.weight).distinct.size < expected.size) tiedBlocks += 1
+        assert(exact(pbs.blockComparisons(k)) === exact(expected), s"${pc.erType} |P|=${pc.size} block=$k")
+      }
+    }
+    // tied weights inside a block exercise the (i, j) tie-break
+    assert(tiedBlocks > 0)
   }
 
   test("PPS initialization equals the sequential initialization for any cut into ranges") {
