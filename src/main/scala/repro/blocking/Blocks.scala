@@ -27,8 +27,8 @@ final class TokenIndex private (
     *
     * A block holds the ascending, distinct ids of the profiles with at least
     * one token yielding its key; blocks without an executable comparison
-    * (`Block.cardinality` 0) are dropped, and the survivors are sorted by
-    * key with one `Arrays.parallelSort`. `keyOf` runs once per distinct
+    * (`Block.cardinality` 0) are dropped, and the survivors are ordered by
+    * key with `RankSort.strings`. `keyOf` runs once per distinct
     * token. `RankSort.group` groups the placements by key id: placements are
     * in profile order, so every block's ids come out ascending, a profile's
     * repeats adjacent.
@@ -65,9 +65,8 @@ final class TokenIndex private (
       if (Block.cardinality(pc, ids, n) > 0) survivors += Block(keys(k), Arrays.copyOf(ids, n))
       k += 1
     }
-    val blocks = survivors.toArray
-    Arrays.parallelSort(blocks, TokenIndex.byKey)
-    BlockCollection(blocks.toVector, pc)
+    val byKey = RankSort.strings(survivors.iterator.map(_.key).toArray)
+    BlockCollection(byKey.iterator.map(survivors).toVector, pc)
   }
 
   /** The profile of every placement, filled afresh on every call. */
@@ -80,9 +79,6 @@ final class TokenIndex private (
 }
 
 object TokenIndex {
-
-  /** Blocks in `String.compareTo` order of their keys. */
-  private val byKey: java.util.Comparator[Block] = (a, b) => a.key.compareTo(b.key)
 
   /** Attribute values below which a range of profiles is not worth a task
     * of its own.
@@ -104,17 +100,18 @@ object TokenIndex {
 
   /** Every range interns its tokens into its own dictionary, in parallel.
     * The dictionaries are then merged in range order, each in its own
-    * first-seen order: a token new to the merge in range q first occurs in
-    * range q, so the merge assigns the ids in the order of the tokens' first
-    * occurrence over all profiles — the sequential first-seen order, for any
-    * cut. Last, every range's placements are mapped to the merged ids, in
-    * parallel.
+    * first-seen order and by the hashes it stored: a token new to the merge
+    * in range q first occurs in range q, so the merge assigns the ids in the
+    * order of the tokens' first occurrence over all profiles — the
+    * sequential first-seen order, for any cut. Last, every range's
+    * placements are mapped to the merged ids, in parallel.
     */
   private def build(pc: ProfileCollection, bounds: Array[Int]): TokenIndex = {
     val parts = ForkJoin.all(bounds.length - 1)(q => new Part(pc, bounds(q), bounds(q + 1)))
     val dictionary = new Dictionary(parts.iterator.map(_.dictionary.size).sum)
     val globalIds = parts.map { part =>
-      Array.tabulate(part.dictionary.size)(t => dictionary.id(part.dictionary(t)))
+      val local = part.dictionary
+      Array.tabulate(local.size)(t => dictionary.id(local(t), local.hash(t)))
     }
     val offset = parts.scanLeft(0)(_ + _.n)
     val start = new Array[Int](pc.size + 1)
@@ -134,6 +131,12 @@ object TokenIndex {
     * dictionary: the `n` placements' ids in `ids`, and the placements
     * through each profile in `end`. A token repeated in one profile is
     * placed once: `last` marks the profile that placed each token last.
+    *
+    * An all-ASCII value is tokenized in place: each run of letters and
+    * digits is lowercased and hashed as it is read and looked up by its
+    * range, and a string is made only for a token new to the part. Any
+    * other value goes through `Tokenizer.foreachToken`, since a non-ASCII
+    * unit can lowercase to ASCII letters or to more than one unit.
     */
   private final class Part(pc: ProfileCollection, from: Int, until: Int) {
     val dictionary = new Dictionary(256)
@@ -143,8 +146,7 @@ object TokenIndex {
     val end = new Array[Int](until - from)
 
     private var p = from
-    private val place: String => Unit = { tok =>
-      val t = dictionary.id(tok)
+    private def place(t: Int): Unit = {
       if (t == last.length) last = Arrays.copyOf(last, 2 * t)
       if (last(t) <= p) {
         last(t) = p + 1
@@ -153,16 +155,42 @@ object TokenIndex {
         n += 1
       }
     }
+    private val placeToken: String => Unit = tok => place(dictionary.id(tok))
+
+    private def tokenize(v: String): Unit = {
+      var k = 0
+      while (k < v.length && v.charAt(k) < 0x80) k += 1
+      if (k < v.length) Tokenizer.foreachToken(v)(placeToken)
+      else {
+        k = 0
+        while (k < v.length) {
+          while (k < v.length && !isAlphanumeric(v.charAt(k))) k += 1
+          val first = k
+          var h = 0
+          while (k < v.length && isAlphanumeric(v.charAt(k))) { h = 31 * h + lower(v.charAt(k)); k += 1 }
+          if (k > first) place(dictionary.id(v, first, k, h))
+        }
+      }
+    }
+
     while (p < until) {
-      pc.profiles(p).attrs.foreach { case (_, v) => Tokenizer.foreachToken(v)(place) }
+      pc.profiles(p).attrs.foreach { case (_, v) => tokenize(v) }
       end(p - from) = n
       p += 1
     }
   }
 
+  /** An ASCII letter or digit. */
+  private def isAlphanumeric(c: Char): Boolean =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+
+  /** An ASCII unit, lowercased. */
+  private def lower(c: Char): Int = if (c >= 'A' && c <= 'Z') c + ('a' - 'A') else c
+
   /** Distinct strings, each with a dense id in first-seen order: an
     * open-addressing table on `String.hashCode` that keeps every slot's hash
-    * beside its id, so a probe reads a string only when the hashes match.
+    * beside its id, so a probe reads a string only when the hashes match,
+    * and every id's hash.
     *
     * @param expected the number of strings to size the table for
     */
@@ -170,6 +198,7 @@ object TokenIndex {
     private var hashes = new Array[Int](Integer.highestOneBit(math.max(8, expected)) * 4)
     private var slots = new Array[Int](hashes.length) // id + 1; 0 marks an empty slot
     private var keys = new Array[String](math.max(8, expected))
+    private var keyHashes = new Array[Int](keys.length)
     private var d = 0
 
     /** The number of distinct strings. */
@@ -178,25 +207,62 @@ object TokenIndex {
     /** The string of id `k`. */
     def apply(k: Int): String = keys(k)
 
+    /** The `hashCode` of the string of id `k`. */
+    def hash(k: Int): Int = keyHashes(k)
+
     /** The distinct strings, in id order. */
     def strings: Array[String] = Arrays.copyOf(keys, d)
 
     /** The id of `s`, added if it is new. */
-    def id(s: String): Int = {
-      val h = s.hashCode
+    def id(s: String): Int = id(s, s.hashCode)
+
+    /** The id of `s`, whose `hashCode` is `h`, added if it is new. */
+    def id(s: String, h: Int): Int = {
       val mask = slots.length - 1
       var x = slot(h, mask)
       while (slots(x) != 0 && (hashes(x) != h || keys(slots(x) - 1) != s)) x = (x + 1) & mask
+      if (slots(x) != 0) slots(x) - 1 else add(x, s, h)
+    }
+
+    /** The id of `value(first until until)` lowercased, an ASCII letter and
+      * digit run whose lowercase `hashCode` is `h`, added if it is new. A
+      * lowercase value that is one token is kept as it is, not copied, as
+      * `Tokenizer.foreachToken` keeps it.
+      */
+    def id(value: String, first: Int, until: Int, h: Int): Int = {
+      val mask = slots.length - 1
+      var x = slot(h, mask)
+      while (slots(x) != 0 && (hashes(x) != h || !isLowered(keys(slots(x) - 1), value, first, until)))
+        x = (x + 1) & mask
       if (slots(x) != 0) slots(x) - 1
+      else if (until - first == value.length && isLowered(value, value, 0, until)) add(x, value, h)
       else {
-        if (d == keys.length) keys = Arrays.copyOf(keys, 2 * d)
-        keys(d) = s
-        d += 1
-        hashes(x) = h
-        slots(x) = d
-        if (2 * d > slots.length) grow()
-        d - 1
+        val token = new Array[Char](until - first)
+        var k = 0
+        while (k < token.length) { token(k) = lower(value.charAt(first + k)).toChar; k += 1 }
+        add(x, new String(token), h)
       }
+    }
+
+    private def isLowered(key: String, value: String, first: Int, until: Int): Boolean = {
+      if (key.length != until - first) return false
+      var k = 0
+      while (k < key.length && key.charAt(k) == lower(value.charAt(first + k))) k += 1
+      k == key.length
+    }
+
+    private def add(x: Int, s: String, h: Int): Int = {
+      if (d == keys.length) {
+        keys = Arrays.copyOf(keys, 2 * d)
+        keyHashes = Arrays.copyOf(keyHashes, 2 * d)
+      }
+      keys(d) = s
+      keyHashes(d) = h
+      d += 1
+      hashes(x) = h
+      slots(x) = d
+      if (2 * d > slots.length) grow()
+      d - 1
     }
 
     private def slot(h: Int, mask: Int): Int = {

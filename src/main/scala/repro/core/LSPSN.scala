@@ -173,18 +173,12 @@ private[core] object WindowScan {
       ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * windows))
   }
 
-  /** The same list, with `pc.source1Ids` cut into `ranges` contiguous
-    * ranges of about equal placements, scanned in parallel. Every pair is
-    * found in one range only, and the list orders the pairs totally, so the
-    * cut does not change the list.
+  /** The same list, with the profiles `ids` (`pc.source1Ids`) cut into the
+    * ranges `bounds`, scanned in parallel. Every pair is found in one range
+    * only, and the list orders the pairs totally, so the cut does not change
+    * the list.
     */
-  def comparisons(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int, ranges: Int): ComparisonList = {
-    val ids = pc.source1Ids.toArray
-    comparisons(pc, nl, PartnerView(pc, nl), wLo, wHi, ids,
-      ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
-  }
-
-  private def comparisons(
+  private[core] def comparisons(
       pc: ProfileCollection,
       nl: NeighborList,
       view: PartnerView,

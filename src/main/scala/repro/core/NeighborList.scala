@@ -40,6 +40,42 @@ object NeighborList {
     */
   def tie(key: String, id: Int, seed: Int = 42): Int = MurmurHash3.stringHash(s"$key#$id", seed)
 
+  /** Where every tie of `key` continues from (`streamedTie`):
+    * `MurmurHash3.stringHash`'s state after the pairs of units of `key#`
+    * that the key completes — its own pairs, and its odd last unit with '#'
+    * — in the high 32 bits, the key's length in the low 32.
+    */
+  private[core] def tieState(key: String, seed: Int): Long = {
+    var h = seed
+    var i = 0
+    while (i + 1 < key.length) { h = MurmurHash3.mix(h, (key.charAt(i) << 16) + key.charAt(i + 1)); i += 2 }
+    if (i < key.length) h = MurmurHash3.mix(h, (key.charAt(i) << 16) + '#')
+    h.toLong << 32 | key.length
+  }
+
+  /** `tie(key, id, seed)` for an id ≥ 0, from `state = tieState(key, seed)`:
+    * the units left — '#' after a key of even length, then the digits of
+    * `id` — are hashed as `stringHash` hashes them, with no string built.
+    */
+  private[core] def streamedTie(state: Long, id: Int): Int = {
+    var digits = 0L // the digits of id, 4 bits each, the first lowest
+    var length = 0
+    var rest = id
+    while ({ digits = digits << 4 | rest % 10; rest /= 10; length += 1; rest > 0 }) ()
+    val keyLength = state.toInt
+    var h = (state >>> 32).toInt
+    var pending = if (keyLength % 2 == 0) '#'.toInt else -1
+    var d = 0
+    while (d < length) {
+      val unit = '0' + (digits >>> 4 * d & 15).toInt
+      if (pending < 0) pending = unit
+      else { h = MurmurHash3.mix(h, (pending << 16) + unit); pending = -1 }
+      d += 1
+    }
+    if (pending >= 0) h = MurmurHash3.mixLast(h, pending)
+    MurmurHash3.finalizeHash(h, keyLength + 1 + length)
+  }
+
   /** Placements below which a range is not worth a task of its own. */
   private val MinPlacements = 1L << 13
 
@@ -48,17 +84,14 @@ object NeighborList {
     */
   def build(pc: ProfileCollection, seed: Int = 42): NeighborList = {
     val index = TokenIndex(pc)
-    fromIndex(index, pc.size, seed, ForkJoin.ranges(index.tokenIds.length, MinPlacements)(_ => 1L))
+    sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.ranges(_, MinPlacements)(_))
   }
 
-  /** The same list, tokenized and filled in `ranges` contiguous ranges. */
+  /** The same list, tokenized and sorted in `ranges` contiguous ranges. */
   private[repro] def build(pc: ProfileCollection, seed: Int, ranges: Int): NeighborList = {
     val index = TokenIndex(pc, ranges)
-    fromIndex(index, pc.size, seed, ForkJoin.cut(index.tokenIds.length, ranges)(_ => 1L))
+    sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.cut(_, ranges)(_))
   }
-
-  private def fromIndex(index: TokenIndex, nProfiles: Int, seed: Int, bounds: Array[Int]): NeighborList =
-    sorted(index.tokens, index.tokenIds, index.placementProfiles, nProfiles, seed, bounds)
 
   /** Build from explicit (key, profileId) placements — used by tests and by
     * the schema-based PSN (single key per profile).
@@ -77,17 +110,19 @@ object NeighborList {
       keyOf(k) = dictionary.id(key)
       k += 1
     }
-    sorted(dictionary.strings, keyOf, ids, nProfiles, seed, ForkJoin.ranges(n, MinPlacements)(_ => 1L))
+    sorted(dictionary.strings, keyOf, ids, nProfiles, seed, ForkJoin.ranges(_, MinPlacements)(_))
   }
 
   /** The list of placements k: profile `ids(k)` under key `keys(keyOf(k))`,
-    * in the order of a stable sort on (key, tie). `keys` are distinct.
+    * in the order of a stable sort on (key, tie). `keys` are distinct, and
+    * ids are ≥ 0.
     *
-    * The keys are sorted once, giving each its rank, and `RankSort.group`
-    * groups the placements by rank. Every position's tie-break payload,
-    * tie · 2^31 + k, is filled per range in parallel, then every rank's run
-    * of payloads is sorted: the order (rank, tie, k). The Position Index
-    * groups the positions by profile.
+    * `RankSort.strings` ranks the keys and `RankSort.group` groups the
+    * placements by rank. `cut(runs, work)` cuts the runs into ranges of
+    * about equal placements, which are sorted in parallel: in a run of more
+    * than one placement, every placement's tie · 2^31 + k is computed from
+    * the key's `tieState` and the run sorted by it, the order (tie, k). The
+    * Position Index groups the positions by profile.
     */
   private def sorted(
       keys: Array[String],
@@ -95,39 +130,43 @@ object NeighborList {
       ids: Array[Int],
       nProfiles: Int,
       seed: Int,
-      bounds: Array[Int]): NeighborList = {
+      cut: (Int, Int => Long) => Array[Int]): NeighborList = {
     val n = ids.length
-    val sortedKeys = keys.clone()
-    Arrays.parallelSort(sortedKeys: Array[String])
-    val ranks = new TokenIndex.Dictionary(sortedKeys.length)
-    sortedKeys.foreach(ranks.id)
-    val rankOfKey = keys.map(ranks.id)
+    val keyOrder = RankSort.strings(keys)
+    val rankOfKey = new Array[Int](keys.length)
+    var r = 0
+    while (r < keys.length) { rankOfKey(keyOrder(r)) = r; r += 1 }
     val rank = new Array[Int](n)
     var x = 0
     while (x < n) { rank(x) = rankOfKey(keyOf(x)); x += 1 }
-    val (order, start) = RankSort.group(rank, sortedKeys.length)
+    val (order, start) = RankSort.group(rank, keys.length)
 
-    val payload = new Array[Long](n)
-    ForkJoin.all(bounds.length - 1) { q =>
-      var pos = bounds(q)
-      while (pos < bounds(q + 1)) {
-        val k = order(pos)
-        payload(pos) = (tie(keys(keyOf(k)), ids(k), seed).toLong << 31) | k
-        pos += 1
-      }
-    }
     val entries = new Array[Int](n)
     val listKeys = new Array[String](n)
-    var r = 0
-    while (r < sortedKeys.length) {
-      Arrays.sort(payload, start(r), start(r + 1))
-      x = start(r)
-      while (x < start(r + 1)) {
-        entries(x) = ids((payload(x) & Int.MaxValue).toInt)
-        listKeys(x) = sortedKeys(r)
-        x += 1
+    val payload = new Array[Long](n)
+    val bounds = cut(keys.length, r => (start(r + 1) - start(r)).toLong)
+    ForkJoin.all(bounds.length - 1) { q =>
+      var r = bounds(q)
+      while (r < bounds(q + 1)) {
+        val key = keys(keyOrder(r))
+        val from = start(r)
+        val until = start(r + 1)
+        if (until - from > 1) {
+          val state = tieState(key, seed)
+          var pos = from
+          while (pos < until) {
+            val k = order(pos)
+            payload(pos) = (streamedTie(state, ids(k)).toLong << 31) | k
+            pos += 1
+          }
+          Arrays.sort(payload, from, until)
+          pos = from
+          while (pos < until) { order(pos) = (payload(pos) & Int.MaxValue).toInt; pos += 1 }
+        }
+        var pos = from
+        while (pos < until) { entries(pos) = ids(order(pos)); listKeys(pos) = key; pos += 1 }
+        r += 1
       }
-      r += 1
     }
     val (positions, from) = RankSort.group(entries, nProfiles)
     val positionIndex = Array.tabulate(nProfiles)(p => Arrays.copyOfRange(positions, from(p), from(p + 1)))

@@ -11,7 +11,8 @@ import java.util.Arrays
   * the cardinality order of blocks, the PPS Sorted Profile List and the
   * descending-weight order of PBS's and PPS's comparisons (`descending`). A
   * key that orders by a `Double` or a `Long` is ranked densely first
-  * (`rank`).
+  * (`rank`), and distinct strings are ordered on packed prefixes of their
+  * units (`strings`): the Neighbor List's keys and the blocks' keys.
   */
 private[repro] object RankSort {
 
@@ -69,6 +70,120 @@ private[repro] object RankSort {
     k = 0
     while (k < n) { ranks(k) = rankOfId(ranks(k)); k += 1 }
     (ranks, distinct)
+  }
+
+  /** The indices of the distinct `strings`, in `String.compareTo` order.
+    *
+    * Every UTF-16 unit present gets a code, its rank among the units
+    * present + 1 (0 ends a string), so a string's leading units, as codes,
+    * pack into one `long` above its index, and the longs are sorted by
+    * them: `Arrays.sort(long[])`, or a radix sort on the packed units from
+    * `RadixMin` strings up. Strings that share the packed units form a run;
+    * each run is sorted again on its next units, until every run holds one
+    * string.
+    * Strings that share the packed units are at least that long, since
+    * distinct strings differ in a unit or in length.
+    */
+  def strings(strings: Array[String]): Array[Int] = {
+    val n = strings.length
+    if (n <= 1) return Array.range(0, n)
+    val present = new Array[Long](1024) // a bit per UTF-16 unit
+    var k = 0
+    while (k < n) {
+      val s = strings(k)
+      var i = 0
+      while (i < s.length) { present(s.charAt(i) >>> 6) |= 1L << s.charAt(i); i += 1 }
+      k += 1
+    }
+    val below = new Array[Int](1024) // the units present in the words before
+    var w = 1
+    while (w < 1024) { below(w) = below(w - 1) + java.lang.Long.bitCount(present(w - 1)); w += 1 }
+    val units = below(1023) + java.lang.Long.bitCount(present(1023))
+    val unitBits = 32 - Integer.numberOfLeadingZeros(units)
+    val indexBits = 32 - Integer.numberOfLeadingZeros(n - 1)
+    val perWord = (63 - indexBits) / unitBits
+    val indexMask = (1L << indexBits) - 1
+
+    val order = Array.range(0, n)
+    val packed = new Array[Long](n)
+    // the runs left to sort: (from, until, the offset of their next units)
+    var runs = new Array[Int](96)
+    runs(0) = 0; runs(1) = n; runs(2) = 0
+    var top = 3
+    while (top > 0) {
+      top -= 3
+      val from = runs(top)
+      val until = runs(top + 1)
+      val offset = runs(top + 2)
+      var x = from
+      while (x < until) {
+        val s = strings(order(x))
+        var key = 0L
+        var i = offset
+        while (i < offset + perWord) {
+          val code =
+            if (i >= s.length) 0L
+            else {
+              val c = s.charAt(i)
+              below(c >>> 6) + java.lang.Long.bitCount(present(c >>> 6) & ((1L << c) - 1)) + 1L
+            }
+          key = key << unitBits | code
+          i += 1
+        }
+        packed(x) = key << indexBits | order(x)
+        x += 1
+      }
+      if (until - from < RadixMin) Arrays.sort(packed, from, until)
+      else radixSort(packed, from, until, indexBits, indexBits + perWord * unitBits)
+      x = from
+      while (x < until) {
+        order(x) = (packed(x) & indexMask).toInt
+        var y = x + 1
+        while (y < until && (packed(y) >>> indexBits) == (packed(x) >>> indexBits)) {
+          order(y) = (packed(y) & indexMask).toInt
+          y += 1
+        }
+        if (y - x > 1) {
+          if (top == runs.length) runs = Arrays.copyOf(runs, 2 * top)
+          runs(top) = x; runs(top + 1) = y; runs(top + 2) = offset + perWord
+          top += 3
+        }
+        x = y
+      }
+    }
+    order
+  }
+
+  /** Runs below which `strings` sorts with `Arrays.sort`, not `radixSort`. */
+  private val RadixMin = 2048
+
+  /** Sort `a(from until until)` stably by the bits `[low, high)` of each
+    * value: least significant digit first, 11 bits a pass.
+    */
+  private def radixSort(a: Array[Long], from: Int, until: Int, low: Int, high: Int): Unit = {
+    var src = Arrays.copyOfRange(a, from, until)
+    var dst = new Array[Long](src.length)
+    val start = new Array[Int](2049)
+    var shift = low
+    while (shift < high) {
+      Arrays.fill(start, 0)
+      var x = 0
+      while (x < src.length) { start((src(x) >>> shift & 2047).toInt + 1) += 1; x += 1 }
+      var d = 0
+      while (d < 2048) { start(d + 1) += start(d); d += 1 }
+      x = 0
+      while (x < src.length) {
+        val digit = (src(x) >>> shift & 2047).toInt
+        dst(start(digit)) = src(x)
+        start(digit) += 1
+        x += 1
+      }
+      val sorted = dst
+      dst = src
+      src = sorted
+      shift += 11
+    }
+    System.arraycopy(src, 0, a, from, src.length)
   }
 
   /** Rank the longs `xs` densely in ascending order.

@@ -246,12 +246,21 @@ class PropertySpec extends SparkSpec {
     }
   }
 
+  /** The window scan with `pc.source1Ids` cut into `ranges` contiguous
+    * ranges of about equal placements.
+    */
+  private def cutScan(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int, ranges: Int): ComparisonList = {
+    val ids = pc.source1Ids.toArray
+    WindowScan.comparisons(pc, nl, WindowScan.PartnerView(pc, nl), wLo, wHi, ids,
+      ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
+  }
+
   test("the window scan equals the reference scan for any cut into ranges") {
     for (pc <- anyCollections ++ samples(collectionGen, 20) :+ PaperExample.pc) {
       val nl = NeighborList.build(pc)
       for ((wLo, wHi) <- Seq((1, 1), (2, 2), (1, 3), (1, nl.size + 1), (2, 5), (3, nl.size + 2));
            ranges <- Seq(1, 2, 3, 7, pc.source1Ids.size).filter(_ >= 1).distinct)
-        assert(exact(WindowScan.comparisons(pc, nl, wLo, wHi, ranges)) === exact(referenceScan(pc, nl, wLo, wHi)),
+        assert(exact(cutScan(pc, nl, wLo, wHi, ranges)) === exact(referenceScan(pc, nl, wLo, wHi)),
           s"${pc.erType} |P|=${pc.size} windows=[$wLo, $wHi] ranges=$ranges")
     }
   }
@@ -279,16 +288,39 @@ class PropertySpec extends SparkSpec {
   }
 
   test("the Neighbor List equals a stable sort on (key, seeded hash)") {
-    for (pc <- anyCollections) {
-      val placements = Tokenizer.placements(pc)
-      val nl = NeighborList.fromPlacements(placements, pc.size)
+    val inputs = anyCollections.map(pc => (Tokenizer.placements(pc), pc.size)) ++ samples(anyPlacementsGen, 100)
+    for ((placements, nProfiles) <- inputs) {
+      val nl = NeighborList.fromPlacements(placements, nProfiles)
       val expected = placements.sortBy { case (k, id) =>
         (k, scala.util.hashing.MurmurHash3.stringHash(s"$k#$id", 42))
       }
       assert(nl.entries.toSeq === expected.map(_._2))
       assert(nl.keys.toSeq === expected.map(_._1))
-      for (i <- 0 until pc.size)
+      for (i <- 0 until nProfiles)
         assert(nl.positionsOf(i).toSeq === nl.entries.indices.filter(nl.entries(_) == i))
+    }
+  }
+
+  test("RankSort.strings orders distinct strings as String.compareTo does") {
+    val gen = Gen.listOf(anyKeyGen).map(_.distinct)
+    val edges = Seq(Nil, Seq(""), Seq("a"), Seq("", "a"), Seq("b", ""), Seq("a" * 200, "a" * 201, "a" * 199 + "b"),
+      Seq("\ud83d\ude00", "\ue000", "\uffff", "\ud83d", "\ude00"))
+    // enough keys for the radix sort, with runs past the first packed word
+    val many = samples(anyKeyGen, 6000).distinct
+    for (keys <- samples(gen, 300) ++ edges :+ many) {
+      val strings = keys.toArray
+      assert(RankSort.strings(strings).toSeq === strings.indices.sortBy(strings(_)), keys)
+    }
+  }
+
+  test("the streamed tie equals NeighborList.tie") {
+    val keys = samples(rawValueGen, 100) ++ Seq("", "a", "ab", "abc", "é", "ß", "\ud83d\ude00", "x\ud83d\ude00", "İ")
+    val ids = Seq(0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 99999, 100000, 999999, 1000000,
+      9999999, 10000000, 99999999, 100000000, 999999999, 1000000000, Int.MaxValue - 1, Int.MaxValue)
+    for (key <- keys; seed <- Seq(42, 7)) {
+      val state = NeighborList.tieState(key, seed)
+      for (id <- ids)
+        assert(NeighborList.streamedTie(state, id) === NeighborList.tie(key, id, seed), (key, id, seed))
     }
   }
 
@@ -301,6 +333,36 @@ class PropertySpec extends SparkSpec {
       Gen.oneOf(" ", "-", "_", ".", ",", "/", "!", "?", "\t", "'"),
       Gen.oneOf("é", "ß", "İ", "Σ", "ς", "ﬁ", "\u212a", "Ω", "ı", "Ä"),
       Gen.oneOf("\ud835\udc9c", "\ud83d\ude00", "\ud801\udc00", "\ud801\udc28"))).map(_.mkString)
+
+  /** Keys that share a prefix longer than the units one `long` packs (a few
+    * units from a small alphabet pack 30 to a word).
+    */
+  private val longPrefixGen: Gen[String] = for {
+    prefix <- Gen.oneOf("", "a" * 70, "ab" * 40)
+    rest   <- Gen.listOf(Gen.oneOf("a", "b")).map(_.mkString)
+  } yield prefix + rest
+
+  /** Surrogate pairs against units in U+E000–U+FFFF, which sort above
+    * them in `String.compareTo` order (UTF-16 units), though their code
+    * points are lower.
+    */
+  private val surrogateGen: Gen[String] =
+    Gen.listOf(Gen.oneOf("\ud83d\ude00", "\ud800\udc00", "\ue000", "\uf8ff", "\uffff", "\ud7ff", "x")).map(_.mkString)
+
+  /** Any key: from any string to long shared prefixes, the empty string
+    * included.
+    */
+  private val anyKeyGen: Gen[String] =
+    Gen.frequency(3 -> rawValueGen, 2 -> longPrefixGen, 2 -> surrogateGen, 1 -> Gen.const(""))
+
+  /** Placements with any keys, as the schema-based PSN passes them: some
+    * keys shared by several profiles, some profiles under several keys.
+    */
+  private val anyPlacementsGen: Gen[(Vector[(String, Int)], Int)] = for {
+    nProfiles  <- Gen.choose(1, 10)
+    keys       <- Gen.nonEmptyListOf(anyKeyGen)
+    placements <- Gen.listOf(Gen.zip(Gen.oneOf(keys), Gen.choose(0, nProfiles - 1)))
+  } yield (placements.toVector, nProfiles)
 
   test("the tokenizer equals the regex split on any string") {
     for (v <- samples(rawValueGen, 400)) {
@@ -317,6 +379,35 @@ class PropertySpec extends SparkSpec {
       ProfileCollection(pc.profiles.map(_.copy(source = side)), CleanCleanEr)
     }
 
+  /** Collections of `rawValueGen` values: ASCII and non-ASCII values mixed
+    * in one profile and across profiles.
+    */
+  private val unicodeCollectionGen: Gen[ProfileCollection] = for {
+    n          <- Gen.choose(0, 12)
+    cleanClean <- Gen.oneOf(false, true)
+    values     <- Gen.listOfN(n, Gen.listOf(rawValueGen))
+    sources    <- Gen.listOfN(n, Gen.oneOf(1, 2))
+  } yield ProfileCollection(
+    values.indices.map { i =>
+      Profile(i, if (cleanClean) sources(i) else 0, values(i).zipWithIndex.map { case (v, a) => s"a$a" -> v }.toVector)
+    }.toVector,
+    if (cleanClean) CleanCleanEr else DirtyEr)
+
+  /** Units whose lowercase differs from any one-unit ASCII rule: İ (U+0130)
+    * lowercases to "i̇" (i and U+0307), the KELVIN SIGN (U+212A) to "k";
+    * ß and surrogate pairs are no token units; the same tokens also come
+    * in ASCII, in mixed case.
+    */
+  private val unicodeTokens = ProfileCollection(
+    Vector(
+      Vector("v" -> "İstanbul \u212aelvin STRAßE café", "w" -> "ISTANBUL"),
+      Vector("v" -> "istanbul kelvin strasse CAFE", "w" -> "\ud83d\ude00abc ABC aBc\ud801\udc00Def"),
+      Vector("v" -> "Xİy xi y xiy", "w" -> "\u212a k K ß ss SS"),
+      Vector("v" -> "ΣΑΣ σας abc\u00e9def", "w" -> "MiXeD mixed MIXED")).zipWithIndex.map { case (attrs, i) =>
+      Profile(i, 0, attrs)
+    },
+    DirtyEr)
+
   /** `blockingCollections`, plus profiles that repeat tokens inside an
     * attribute value and across values.
     */
@@ -325,7 +416,7 @@ class PropertySpec extends SparkSpec {
       pc.copy(profiles = pc.profiles.map { p =>
         p.copy(attrs = p.attrs.flatMap { case (a, v) => Seq(a -> s"$v ${v.reverse} $v", a -> v.toUpperCase) })
       })
-    } :+ PaperExample.pc
+    } ++ samples(unicodeCollectionGen, 30) :+ unicodeTokens :+ PaperExample.pc
 
   /** The cuts into ranges every range-parallel build is checked under. */
   private def rangeCounts(pc: ProfileCollection): Seq[Int] =
