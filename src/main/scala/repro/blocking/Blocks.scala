@@ -85,8 +85,8 @@ object TokenIndex {
     */
   private val MinValues = 1L << 10
 
-  /** Index the tokens of `pc`, tokenized in up to one contiguous range of
-    * profiles per processor.
+  /** Index the tokens of `pc`, tokenized in the contiguous ranges of
+    * profiles that `ForkJoin.ranges` cuts.
     */
   def apply(pc: ProfileCollection): TokenIndex = build(pc, ForkJoin.ranges(pc.size, MinValues)(values(pc, _)))
 

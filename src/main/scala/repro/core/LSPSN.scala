@@ -164,7 +164,7 @@ private[core] object WindowScan {
   }
 
   /** The sorted Comparison List of the window sizes `[wLo, wHi]`, scanned in
-    * up to one range of profiles per processor.
+    * the ranges of profiles `ForkJoin.ranges` cuts.
     */
   def comparisons(pc: ProfileCollection, nl: NeighborList, view: PartnerView, wLo: Int, wHi: Int): ComparisonList = {
     val ids = pc.source1Ids.toArray
@@ -176,7 +176,7 @@ private[core] object WindowScan {
   /** The same list, with the profiles `ids` (`pc.source1Ids`) cut into the
     * ranges `bounds`, scanned in parallel. Every pair is found in one range
     * only, and the list orders the pairs totally, so the cut does not change
-    * the list.
+    * the list. Each thread counts in its own `Counts`, made once.
     */
   private[core] def comparisons(
       pc: ProfileCollection,
@@ -186,7 +186,19 @@ private[core] object WindowScan {
       wHi: Int,
       ids: Array[Int],
       bounds: Array[Int]): ComparisonList =
-    ComparisonList.of(ForkJoin.all(bounds.length - 1)(q => scan(pc, nl, view, ids, bounds(q), bounds(q + 1), wLo, wHi)))
+    ComparisonList.of(ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
+      scan(pc, nl, view, ids, bounds(q), bounds(q + 1), wLo, wHi, counts)
+    })
+
+  /** A dense count per profile and the list of the profiles touched, of
+    * one thread. Every count is 0 between two profiles of a scan.
+    */
+  private final class Counts(size: Int) {
+    val count = new Array[Int](size)
+    // One slot more than the profiles: a step writes touched(nt) before it
+    // knows whether its id is new, and nt reaches |P| when every id is.
+    val touched = new Array[Int](size + 1)
+  }
 
   /** The comparisons of the profiles `ids(from until until)`.
     *
@@ -196,19 +208,19 @@ private[core] object WindowScan {
     * 8–16), how often each neighbor in `view` co-occurs with it: the two
     * slices of `view.ids` at positions `[pos - wHi, pos - wLo]` and
     * `[pos + wLo, pos + wHi]`, clipped to the list. Clean-clean ER thus visits
-    * only partners on the other source. Dirty ER counts every entry, `i`
-    * itself included, and keeps a neighbor only if `j < i` when it weights
-    * it, so every pair is counted from its larger id only. The view of
+    * only partners on the other source. Dirty ER visits every entry, `i`
+    * itself included, and counts a neighbor only if `j < i`, so every pair
+    * is counted from its larger id only. The view of
     * Clean-clean ER costs 4 bytes per Neighbor List position plus 4 per
     * partner placement: GS-PSN builds it for its one scan, LS-PSN once for
     * all its windows. Dirty ER's view is the Neighbor List itself.
     *
-    * The counts live in one dense array plus the list of neighbors touched,
-    * reset after each profile. The counting loop has no data-dependent
-    * branch: every step writes its id to the next free slot of `touched` and
-    * moves past it only on the id's first touch. Every kept neighbor is
-    * weighted with RCF (lines 17–19); the frequencies are summed over
-    * `wHi - wLo + 1` window sizes.
+    * The counts live in the thread's `counts`: one dense array plus the list
+    * of neighbors touched, reset after each profile. The counting loop has
+    * no data-dependent branch: every step writes its id to the next free
+    * slot of `touched` and moves past it only on the first touch of a kept
+    * id. Every touched neighbor is weighted with RCF (lines 17–19); the
+    * frequencies are summed over `wHi - wLo + 1` window sizes.
     */
   private def scan(
       pc: ProfileCollection,
@@ -218,14 +230,13 @@ private[core] object WindowScan {
       from: Int,
       until: Int,
       wLo: Int,
-      wHi: Int): ComparisonList.Part = {
+      wHi: Int,
+      counts: Counts): ComparisonList.Part = {
     val windows = wHi - wLo + 1
     val dirty = pc.erType == DirtyEr
     val size = nl.size.toLong
-    val count = new Array[Int](pc.size)
-    // One slot more than the profiles: a step writes touched(nt) before it
-    // knows whether its id is new, and nt reaches |P| when every id is.
-    val touched = new Array[Int](pc.size + 1)
+    val count = counts.count
+    val touched = counts.touched
     val negatedWeights = new RankSort.Dictionary
     var placements = 0L
     var x = from
@@ -240,13 +251,14 @@ private[core] object WindowScan {
     x = from
     while (x < until) {
       val i = ids(x)
+      val limit = if (dirty) i else Int.MaxValue
       val positions = nl.positionsOf(i)
       var nt = 0
       var pi = 0
       while (pi < positions.length) {
         val pos = positions(pi).toLong
-        nt = tally(view.ids, at(pos - wHi), at(pos - wLo + 1), count, touched, nt)
-        nt = tally(view.ids, at(pos + wLo), at(pos + wHi + 1), count, touched, nt)
+        nt = tally(view.ids, at(pos - wHi), at(pos - wLo + 1), limit, count, touched, nt)
+        nt = tally(view.ids, at(pos + wLo), at(pos + wHi + 1), limit, count, touched, nt)
         pi += 1
       }
       if (n + nt > pairs.length) {
@@ -258,11 +270,9 @@ private[core] object WindowScan {
       var t = 0
       while (t < nt) {
         val j = touched(t)
-        if (!dirty || j < i) {
-          pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
-          weightIds(n) = negatedWeights.id(-Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows))
-          n += 1
-        }
+        pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
+        weightIds(n) = negatedWeights.id(-Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows))
+        n += 1
         count(j) = 0
         t += 1
       }
@@ -271,20 +281,29 @@ private[core] object WindowScan {
     new ComparisonList.Part(pairs, weightIds, n, negatedWeights)
   }
 
-  /** Counts every id of `ids(from until until)` in `count`, and lists the
-    * ids touched for the first time in `touched` from slot `nt` on; returns
-    * the new number of touched ids. Each step writes its id to slot `nt`
-    * and moves past it only on a first touch, with no branch.
+  /** Counts every id below `limit` of `ids(from until until)` in `count`,
+    * and lists the ids touched for the first time in `touched` from slot
+    * `nt` on; returns the new number of touched ids. Each step writes its id
+    * to slot `nt` and moves past it only on the first touch of a kept id,
+    * with no branch.
     */
-  private def tally(ids: Array[Int], from: Int, until: Int, count: Array[Int], touched: Array[Int], nt: Int): Int = {
+  private def tally(
+      ids: Array[Int],
+      from: Int,
+      until: Int,
+      limit: Int,
+      count: Array[Int],
+      touched: Array[Int],
+      nt: Int): Int = {
     var t = nt
     var s = from
     while (s < until) {
       val j = ids(s)
+      val keep = (j - limit) >>> 31 // 1 if j < limit, else 0
       val c = count(j)
       touched(t) = j
-      t += (c - 1) >>> 31 // 1 if c == 0, else 0
-      count(j) = c + 1
+      t += ((c - 1) >>> 31) & keep // 1 if kept and c == 0, else 0
+      count(j) = c + keep
       s += 1
     }
     t

@@ -28,8 +28,8 @@ final class PPS(
 
   /** Algorithm 5: duplication likelihoods, Sorted Profile List and the
     * deduplicated set of per-node top comparisons, sorted. The
-    * neighbourhoods are loaded in up to one contiguous range of profile ids
-    * per processor, of about equal neighbourhood work.
+    * neighbourhoods are loaded in the contiguous ranges of profile ids of
+    * about equal neighbourhood work that `ForkJoin.ranges` cuts.
     *
     * A profile's duplication likelihood is the sum of its edge weights in the
     * neighbourhood kernel's first-touch order — ascending block id, then
@@ -50,10 +50,10 @@ final class PPS(
   }
 
   /** Algorithm 5 with the neighbourhoods loaded in the contiguous ranges of
-    * profile ids `bounds` (range q is `bounds(q) until bounds(q + 1)`), one
-    * kernel each, in parallel. A node's likelihood and top edge depend on its
-    * own neighbourhood alone; they are kept by id and merged in id order, so
-    * the result does not depend on the cut.
+    * profile ids `bounds` (range q is `bounds(q) until bounds(q + 1)`), in
+    * parallel, one kernel per thread. A node's likelihood and top edge
+    * depend on its own neighbourhood alone; they are kept by id and merged
+    * in id order, so the result does not depend on the cut.
     */
   private[repro] def initialize(bounds: Array[Int]): PPS.Init = {
     // every node's negated likelihood, and the other end and the weight of
@@ -61,8 +61,7 @@ final class PPS(
     val negatedLikelihood = new Array[Double](pc.size)
     val topJ = new Array[Int](pc.size)
     val topW = new Array[Double](pc.size)
-    ForkJoin.all(bounds.length - 1) { q =>
-      val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
+    ForkJoin.all(bounds.length - 1, () => new BlockingGraph.Neighborhoods(pc, profileIndex)) { (nb, q) =>
       var i = bounds(q)
       while (i < bounds(q + 1)) {
         val n = nb.load(i)
