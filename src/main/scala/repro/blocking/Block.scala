@@ -65,10 +65,6 @@ final case class BlockCollection(blocks: Vector[Block], pc: ProfileCollection) {
   /** ||B|| — aggregate cardinality (total comparisons, repeats included). */
   def aggregateCardinality: Long = blocks.iterator.map(_.cardinality(pc)).sum
 
-  /** Mean block size |b̄|. */
-  def meanBlockSize: Double =
-    if (blocks.isEmpty) 0.0 else blocks.iterator.map(_.size.toLong).sum.toDouble / blocks.size
-
   /** Block indices in non-decreasing (cardinality, key) — the smallest-first
     * order of Block Filtering, of the Profile Index and of every SA-PSAB
     * layer — and every block's cardinality, by index. The block indices are

@@ -3,25 +3,16 @@ package repro.blocking
 import java.util.Arrays
 import repro.core.{CleanCleanEr, Comparison, ProfileCollection}
 
-/** A materialized Blocking Graph (Sec. 3.2): nodes are profiles, edges are
-  * the distinct valid comparisons of a block collection, weighted with ARCS
-  * (the Meta-blocking scheme of PBS and PPS).
+/** The Blocking Graph (Sec. 3.2): nodes are profiles, edges are the
+  * distinct valid comparisons of a block collection, weighted with ARCS (the
+  * Meta-blocking scheme of PBS and PPS).
   *
   * The paper stresses that materializing the full graph is impractical at
-  * web scale — the progressive methods therefore only ever *traverse* it
-  * through the Profile Index. This explicit edge list exists for tests,
-  * small datasets and the paper's running example (Fig. 3c).
+  * web scale, so the progressive methods only ever traverse it through the
+  * Profile Index: PBS one block's edges at a time (`BlockEdges`), PPS one
+  * node's neighbourhood at a time (`Neighborhoods`).
   */
 object BlockingGraph {
-
-  /** All distinct edges with weights, in deterministic order: the block
-    * edges of every block, in block id order, so no duplicates.
-    */
-  def edges(pc: ProfileCollection, pi: ProfileIndex): Vector[Comparison] =
-    Iterator.range(0, pi.orderedBlocks.size).flatMap { k =>
-      val e = BlockEdges(pc, pi, k)
-      Iterator.range(0, e.n).map(e.comparison)
-    }.toVector
 
   /** The weighted edges materialized from one block — its valid pairs whose
     * least common block (LeCoBI) is that block — packed: the first `n` of
@@ -82,7 +73,7 @@ object BlockingGraph {
     *
     * A node's edge weights accumulate in one `Double` per profile, dense over
     * |P|, in ascending block id, so every weight has the raw bits of the
-    * Profile Index merge in `Arcs.weight`. The neighbors are listed
+    * Profile Index merge (`ProfileIndex.arcsIfLeast`). The neighbors are listed
     * in first-touch order: ascending block id, then ascending profile id.
     * Loading the next node resets only the entries the last one touched.
     */

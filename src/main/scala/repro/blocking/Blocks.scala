@@ -7,7 +7,7 @@ import scala.collection.mutable
 /** The tokens of a profile collection — the one tokenization of every
   * schema-agnostic method: the distinct tokens in first-seen order, and
   * every profile's distinct token ids in profile order, each profile's in
-  * the order of `Tokenizer.profileKeys`. The Neighbor List is sorted from
+  * first-appearance order. The Neighbor List is sorted from
   * it, and it holds the one block builder of the equality-based methods:
   * Token Blocking keys every profile by its tokens, each SA-PSAB layer by
   * their suffixes of one length — at most one key per token.
@@ -86,19 +86,15 @@ object TokenIndex {
   private val MinValues = 1L << 10
 
   /** Index the tokens of `pc`, tokenized in the contiguous ranges of
-    * profiles that `ForkJoin.ranges` cuts.
+    * profiles of about equal attribute values that `ForkJoin.ranges` cuts.
     */
-  def apply(pc: ProfileCollection): TokenIndex = build(pc, ForkJoin.ranges(pc.size, MinValues)(values(pc, _)))
+  def apply(pc: ProfileCollection): TokenIndex =
+    build(pc, ForkJoin.ranges(pc.size, MinValues)(pc.profiles(_).attrs.size.toLong))
 
-  /** The same index, tokenized in `ranges` contiguous ranges of about equal
-    * attribute values.
-    */
-  private[repro] def apply(pc: ProfileCollection, ranges: Int): TokenIndex =
-    build(pc, ForkJoin.cut(pc.size, ranges)(values(pc, _)))
-
-  private def values(pc: ProfileCollection, p: Int): Long = pc.profiles(p).attrs.size.toLong
-
-  /** Every range interns its tokens into its own dictionary, in parallel.
+  /** The index of `pc` tokenized in the ranges of profiles `bounds`, range
+    * q being `bounds(q) until bounds(q + 1)`.
+    *
+    * Every range interns its tokens into its own dictionary, in parallel.
     * The dictionaries are then merged in range order, each in its own
     * first-seen order and by the hashes it stored: a token new to the merge
     * in range q first occurs in range q, so the merge assigns the ids in the
@@ -106,7 +102,7 @@ object TokenIndex {
     * sequential first-seen order, for any cut. Last, every range's
     * placements are mapped to the merged ids, in parallel.
     */
-  private def build(pc: ProfileCollection, bounds: Array[Int]): TokenIndex = {
+  private[repro] def build(pc: ProfileCollection, bounds: Array[Int]): TokenIndex = {
     val parts = ForkJoin.all(bounds.length - 1)(q => new Part(pc, bounds(q), bounds(q + 1)))
     val dictionary = new Dictionary(parts.iterator.map(_.dictionary.size).sum)
     val globalIds = parts.map { part =>

@@ -7,9 +7,10 @@ import repro.core.ProfileCollection
   *
   * Block ids are the positions of the blocks after sorting the collection in
   * non-decreasing cardinality (the PBS processing order), and each profile's
-  * block-id array is ascending — which makes both Profile Index operations
-  * (the LeCoBI condition and Edge Weighting) a linear merge of two sorted
-  * lists, exactly as the paper describes.
+  * block-id array is ascending. So both Profile Index operations of PBS, the
+  * LeCoBI condition and the ARCS edge weight, come from one linear merge of
+  * two sorted lists (`arcsIfLeast`); PPS reads the blocks of one profile at a
+  * time (`BlockingGraph.Neighborhoods`).
   *
   * @param members the ascending profile ids of every block, by block id
   */
@@ -25,26 +26,10 @@ final class ProfileIndex private (
   /** Ascending block ids of profile `i` (B_i). Empty if unindexed. */
   def blocksOf(i: Int): Array[Int] = blockIds(i)
 
-  /** Least Common Block Index: the smallest block id shared by `i` and `j`,
-    * or -1 when they share no block. A comparison met in block `y` is new iff
-    * `lecobi(i, j) == y` (Sec. 5.2.1).
-    */
-  def lecobi(i: Int, j: Int): Int = {
-    val a = blockIds(i); val b = blockIds(j)
-    var x = 0; var y = 0
-    while (x < a.length && y < b.length) {
-      if (a(x) == b(y)) return a(x)
-      else if (a(x) < b(y)) x += 1
-      else y += 1
-    }
-    -1
-  }
-
   /** The ARCS weight of (i, j) if block `k`, which holds both, is their
-    * least common block, else -1: one merge, which stops at the first
-    * shared id if it is below `k`. Otherwise the terms add from 0.0 in
-    * ascending block id, as in `Arcs.weight`, so the weight has its raw
-    * bits.
+    * Least Common Block Index (LeCoBI, Sec. 5.2.1), else -1: one merge,
+    * which stops at the first shared id if it is below `k`. Otherwise the
+    * terms add from 0.0 in ascending block id.
     */
   private[repro] def arcsIfLeast(k: Int, i: Int, j: Int): Double = {
     val a = blockIds(i); val b = blockIds(j)
@@ -54,23 +39,6 @@ final class ProfileIndex private (
         if (a(x) < k) return -1.0
         s += arcsTerms(a(x)); x += 1; y += 1
       }
-      else if (a(x) < b(y)) x += 1
-      else y += 1
-    }
-    s
-  }
-
-  /** Number of blocks shared by `i` and `j` (linear merge). */
-  def commonBlockCount(i: Int, j: Int): Int = sumOverCommonBlocks(i, j)(_ => 1.0).toInt
-
-  /** Σ f(||b||) over the blocks shared by `i` and `j` — the merge that powers
-    * every co-occurrence weighting scheme.
-    */
-  def sumOverCommonBlocks(i: Int, j: Int)(f: Long => Double): Double = {
-    val a = blockIds(i); val b = blockIds(j)
-    var x = 0; var y = 0; var s = 0.0
-    while (x < a.length && y < b.length) {
-      if (a(x) == b(y)) { s += f(cardinalities(a(x))); x += 1; y += 1 }
       else if (a(x) < b(y)) x += 1
       else y += 1
     }

@@ -87,12 +87,6 @@ object NeighborList {
     sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.ranges(_, MinPlacements)(_))
   }
 
-  /** The same list, tokenized and sorted in `ranges` contiguous ranges. */
-  private[repro] def build(pc: ProfileCollection, seed: Int, ranges: Int): NeighborList = {
-    val index = TokenIndex(pc, ranges)
-    sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.cut(_, ranges)(_))
-  }
-
   /** Build from explicit (key, profileId) placements — used by tests and by
     * the schema-based PSN (single key per profile).
     */
@@ -124,7 +118,7 @@ object NeighborList {
     * the key's `tieState` and the run sorted by it, the order (tie, k). The
     * Position Index groups the positions by profile.
     */
-  private def sorted(
+  private[repro] def sorted(
       keys: Array[String],
       keyOf: Array[Int],
       ids: Array[Int],

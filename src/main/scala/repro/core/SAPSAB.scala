@@ -67,12 +67,3 @@ final class SAPSAB(pc: ProfileCollection, lMin: Int = 4) extends ProgressiveMeth
       Block.pairs(pc, b.profiles).map { case (i, j) => Comparison.of(i, j) }
     }
 }
-
-object SAPSAB {
-
-  /** All suffixes of `token` with at least `lMin` characters (the token
-    * itself included). A token shorter than `lMin` yields nothing.
-    */
-  def suffixes(token: String, lMin: Int): Seq[String] =
-    (0 to token.length - lMin).map(token.substring)
-}

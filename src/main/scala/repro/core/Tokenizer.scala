@@ -39,22 +39,9 @@ object Tokenizer {
     if (start >= 0) f(s.substring(start))
   }
 
-  /** Distinct blocking keys of a profile, in first-appearance order.
-    *
-    * Distinctness matters: a token repeated inside one profile is still a
-    * single blocking key (one placement in the Neighbor List, one membership
-    * in the token's block).
-    */
-  def profileKeys(p: Profile): Vector[String] = {
-    val seen = new java.util.HashSet[String]
-    val out = Vector.newBuilder[String]
-    p.attrs.foreach { case (_, v) => foreachToken(v)(t => if (seen.add(t)) out += t) }
-    out.result()
-  }
-
   /** (token, profileId) placements for a whole collection: the placements
-    * of its `TokenIndex`, in profile order, each profile's in the order of
-    * `profileKeys`.
+    * of its `TokenIndex`, in profile order, each profile's distinct tokens
+    * in first-appearance order.
     */
   def placements(pc: ProfileCollection): Vector[(String, Int)] = {
     val index = TokenIndex(pc)

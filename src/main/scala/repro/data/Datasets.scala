@@ -2,9 +2,9 @@ package repro.data
 
 import repro.eval.ErDataset
 
-/** Registry of the 7 evaluation datasets (Table 2), at two scales:
-  * `testScale` for unit tests (fast) and `benchScale` for the benchmark
-  * suites that reproduce the paper's tables.
+/** Registry of the 7 evaluation datasets (Table 2): the analogs the jobs and
+  * the benchmark suites that reproduce the paper's tables run on, at a
+  * scale factor (1.0 gives the default sizes).
   */
 object Datasets {
 
@@ -22,11 +22,4 @@ object Datasets {
     HeterogeneousData.movies(0.1 * scale),
     HeterogeneousData.dbpedia(scale),
     HeterogeneousData.freebase(scale))
-
-  /** Small versions for unit tests. */
-  def structuredSmall: Seq[ErDataset] = structured(cddbScale = 0.15)
-  def heterogeneousSmall: Seq[ErDataset] = Seq(
-    HeterogeneousData.movies(0.02),
-    HeterogeneousData.dbpedia(0.4),
-    HeterogeneousData.freebase(0.5))
 }

@@ -17,7 +17,8 @@ object SparkProgressive {
   /** End-to-end distributed PBS: Token Blocking Workflow (the paper's 10 %
     * purging and 80 % filtering) → ARCS Blocking Graph → global
     * (lecobi, −weight) sort. Returns the ordered comparisons DataFrame
-    * (columns i, j, weight, lecobi).
+    * (columns i, j, weight, lecobi); the filtered index it reads stays
+    * persisted, since the stream reads it lazily.
     */
   def pbs(spark: SparkSession, pc: ProfileCollection): DataFrame = {
     val cc = SparkEr.isCleanClean(pc)

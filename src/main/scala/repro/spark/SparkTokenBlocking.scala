@@ -1,10 +1,11 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.blocking.{Block, BlockFiltering}
 import repro.core.{CleanCleanEr, DirtyEr}
+import scala.jdk.CollectionConverters._
 
 /** The Token Blocking Workflow (Sec. 7) as a distributed DataFrame pipeline:
   * Token Blocking → Block Purging (10 %) → Block Filtering (80 %).
@@ -50,7 +51,11 @@ object SparkTokenBlocking {
 
   /** Full workflow: token index in, filtered index + final block stats out.
     * The final stats include the PBS processing order: `block_id` is the rank
-    * of the block after sorting by (post-filter cardinality, token).
+    * of the block after sorting by (post-filter cardinality, token). The
+    * stats are collected and ranked on the driver, in the order of the
+    * driver's Profile Index, into a local relation. The collection is the
+    * first read of `filtered`, which is persisted first, so the caller's
+    * reads do not compute it again; the caller unpersists it when done.
     */
   def workflow(
       index: DataFrame,
@@ -59,8 +64,12 @@ object SparkTokenBlocking {
       purgeFraction: Double = 0.1,
       filterRatio: Double = 0.8): (DataFrame, DataFrame) = {
     val purged   = purge(blockStats(index, cleanClean), nProfiles, purgeFraction)
-    val filtered = filterIndex(index, purged, filterRatio)
-    val ordered  = SparkEr.ranked(blockStats(filtered, cleanClean), "block_id", col("cardinality"), col("token"))
+    val filtered = filterIndex(index, purged, filterRatio).persist()
+    val stats    = blockStats(filtered, cleanClean)
+    val byOrder  = stats.collect().sortBy(r => (r.getAs[Double]("cardinality").toLong, r.getAs[String]("token")))
+    val ordered  = index.sparkSession.createDataFrame(
+      byOrder.indices.map(k => Row.fromSeq(byOrder(k).toSeq :+ k.toLong)).asJava,
+      stats.schema.add("block_id", "long", nullable = false))
     (filtered, ordered)
   }
 }

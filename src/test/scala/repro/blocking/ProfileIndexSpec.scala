@@ -21,10 +21,10 @@ class ProfileIndexSpec extends SparkSpec {
   }
 
   test("LeCoBI finds the least common block id") {
-    assert(pi.lecobi(3, 4) === 0) // baker
-    assert(pi.lecobi(0, 1) === 3) // ellen
-    assert(pi.lecobi(0, 2) === 4) // smith
-    assert(pi.lecobi(0, 5) === 6) // white
+    assert(Reference.lecobi(pi, 3, 4) === 0) // baker
+    assert(Reference.lecobi(pi, 0, 1) === 3) // ellen
+    assert(Reference.lecobi(pi, 0, 2) === 4) // smith
+    assert(Reference.lecobi(pi, 0, 5) === 6) // white
   }
 
   test("LeCoBI is -1 for profiles sharing no block") {
@@ -36,20 +36,20 @@ class ProfileIndexSpec extends SparkSpec {
         Profile(3, 0, Vector("a" -> "y"))),
       DirtyEr)
     val p = ProfileIndex.build(TokenBlocking.build(pc))
-    assert(p.lecobi(0, 2) === -1)
-    assert(p.lecobi(0, 1) >= 0)
+    assert(Reference.lecobi(p, 0, 2) === -1)
+    assert(Reference.lecobi(p, 0, 1) >= 0)
   }
 
   test("commonBlockCount merges the sorted lists correctly") {
-    assert(pi.commonBlockCount(0, 1) === 4) // ellen smith tailor white
-    assert(pi.commonBlockCount(0, 2) === 3) // smith tailor white
-    assert(pi.commonBlockCount(0, 3) === 1) // white
-    assert(pi.commonBlockCount(2, 5) === 1) // white
+    assert(Reference.commonBlockCount(pi, 0, 1) === 4) // ellen smith tailor white
+    assert(Reference.commonBlockCount(pi, 0, 2) === 3) // smith tailor white
+    assert(Reference.commonBlockCount(pi, 0, 3) === 1) // white
+    assert(Reference.commonBlockCount(pi, 2, 5) === 1) // white
   }
 
   test("sumOverCommonBlocks computes ARCS") {
-    assert(math.abs(pi.sumOverCommonBlocks(0, 1)(1.0 / _) - PaperExample.arcs01) < 1e-12)
-    assert(math.abs(pi.sumOverCommonBlocks(3, 4)(1.0 / _) - PaperExample.arcs34) < 1e-12)
+    assert(math.abs(Reference.sumOverCommonBlocks(pi, 0, 1)(1.0 / _) - PaperExample.arcs01) < 1e-12)
+    assert(math.abs(Reference.sumOverCommonBlocks(pi, 3, 4)(1.0 / _) - PaperExample.arcs34) < 1e-12)
   }
 
   test("an unindexed profile has no blocks") {

@@ -39,7 +39,7 @@ class TokenBlockingSpec extends SparkSpec {
 
   test("mean block size of the fixture") {
     // (2 + 3 + 3 + 2 + 2 + 2 + 6) / 7
-    assert(math.abs(bc.meanBlockSize - 20.0 / 7) < 1e-12)
+    assert(math.abs(Reference.meanBlockSize(bc) - 20.0 / 7) < 1e-12)
   }
 
   test("Clean-clean ER: single-source blocks are dropped") {

@@ -69,7 +69,7 @@ object BoxedReference {
 
   /** SA-PSAB's suffix blocks in processing order, as (suffix, profiles). */
   def suffixBlocks(pc: ProfileCollection, lMin: Int): Vector[(String, Array[Int])] =
-    index(pc, SAPSAB.suffixes(_, lMin)).sortBy { case (s, ids) => (-s.length, cardinality(pc, ids), s) }
+    index(pc, Reference.suffixes(_, lMin)).sortBy { case (s, ids) => (-s.length, cardinality(pc, ids), s) }
 
   def filter(bc: BlockCollection, ratio: Double): Vector[Block] = {
     val pc = bc.pc
@@ -141,7 +141,7 @@ object BoxedReference {
   }
 
   /** The token index as it was built before ranges: one dictionary, the
-    * profiles in order, each by `Tokenizer.profileKeys`.
+    * profiles in order, each by `Reference.profileKeys`.
     *
     * @return the distinct tokens in first-seen order, every profile's start
     *         and the placements' token ids
@@ -152,7 +152,7 @@ object BoxedReference {
     val tokenIds = Vector.newBuilder[Int]
     var placed = 0
     for (p <- pc.profiles) {
-      for (tok <- Tokenizer.profileKeys(p)) { tokenIds += ids.getOrElseUpdate(tok, ids.size); placed += 1 }
+      for (tok <- Reference.profileKeys(p)) { tokenIds += ids.getOrElseUpdate(tok, ids.size); placed += 1 }
       start += placed
     }
     (ids.keys.toVector, start.result(), tokenIds.result())

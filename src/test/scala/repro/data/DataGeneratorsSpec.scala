@@ -34,8 +34,8 @@ class DataGeneratorsSpec extends SparkSpec {
   test("restaurant duplicates have high token overlap") {
     val ds = StructuredData.restaurant()
     val overlaps = ds.gt.pairs.toSeq.map { case (i, j) =>
-      val a = Tokenizer.profileKeys(ds.pc.profiles(i)).toSet
-      val b = Tokenizer.profileKeys(ds.pc.profiles(j)).toSet
+      val a = Reference.profileKeys(ds.pc.profiles(i)).toSet
+      val b = Reference.profileKeys(ds.pc.profiles(j)).toSet
       a.intersect(b).size.toDouble / a.union(b).size
     }
     assert(overlaps.sum / overlaps.size > 0.5)
@@ -110,8 +110,8 @@ class DataGeneratorsSpec extends SparkSpec {
   test("movies matching pairs share title tokens") {
     val ds = HeterogeneousData.movies(0.02)
     val shared = ds.gt.pairs.toSeq.map { case (i, j) =>
-      Tokenizer.profileKeys(ds.pc.profiles(i)).toSet
-        .intersect(Tokenizer.profileKeys(ds.pc.profiles(j)).toSet).size
+      Reference.profileKeys(ds.pc.profiles(i)).toSet
+        .intersect(Reference.profileKeys(ds.pc.profiles(j)).toSet).size
     }
     assert(shared.count(_ >= 2).toDouble / shared.size > 0.9)
   }
@@ -146,8 +146,8 @@ class DataGeneratorsSpec extends SparkSpec {
   test("freebase matching pairs share topic tokens despite URI noise") {
     val ds = HeterogeneousData.freebase(1.0)
     val shared = ds.gt.pairs.toSeq.map { case (i, j) =>
-      Tokenizer.profileKeys(ds.pc.profiles(i)).toSet
-        .intersect(Tokenizer.profileKeys(ds.pc.profiles(j)).toSet)
+      Reference.profileKeys(ds.pc.profiles(i)).toSet
+        .intersect(Reference.profileKeys(ds.pc.profiles(j)).toSet)
     }
     // the universal RDF keywords (http, com/org …) are shared too, but each
     // pair must share several topic-specific tokens on top
@@ -156,7 +156,7 @@ class DataGeneratorsSpec extends SparkSpec {
 
   test("freebase values are URIs (tokens include the RDF keywords)") {
     val ds = HeterogeneousData.freebase(1.0)
-    val someTokens = Tokenizer.profileKeys(ds.pc.profiles.head).toSet
+    val someTokens = Reference.profileKeys(ds.pc.profiles.head).toSet
     assert(someTokens.contains("http"))
     assert(someTokens.contains("freebase"))
   }
@@ -169,7 +169,7 @@ class DataGeneratorsSpec extends SparkSpec {
   }
 
   test("the datasets registry exposes all 7 datasets") {
-    val names = (Datasets.structuredSmall ++ Datasets.heterogeneousSmall).map(_.name)
+    val names = (Reference.structuredSmall ++ Reference.heterogeneousSmall).map(_.name)
     assert(names === Seq("census", "restaurant", "cora", "cddb", "movies", "dbpedia", "freebase"))
   }
 }

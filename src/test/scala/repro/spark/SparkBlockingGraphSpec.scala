@@ -2,7 +2,7 @@ package repro.spark
 
 import repro.{Oracle, SparkSpec}
 import repro.core._
-import repro.blocking.{BlockingGraph, ProfileIndex, TokenBlocking}
+import repro.blocking.{ProfileIndex, TokenBlocking}
 
 class SparkBlockingGraphSpec extends SparkSpec {
 
@@ -15,7 +15,7 @@ class SparkBlockingGraphSpec extends SparkSpec {
   private lazy val edges = SparkBlockingGraph.arcsEdges(filtered, ordered, cleanClean = false)
 
   test("distributed ARCS edges equal the local Blocking Graph") {
-    val local = BlockingGraph
+    val local = Reference
       .edges(PaperExample.pc, ProfileIndex.build(TokenBlocking.build(PaperExample.pc)))
       .map(c => c.pair -> c.weight).toMap
     val got = edges.collect()
@@ -42,7 +42,7 @@ class SparkBlockingGraphSpec extends SparkSpec {
   test("lecobi column equals the local Profile Index LeCoBI") {
     val pi = ProfileIndex.build(TokenBlocking.build(PaperExample.pc))
     edges.collect().foreach { r =>
-      assert(r.getAs[Number]("lecobi").intValue() === pi.lecobi(r.getInt(0), r.getInt(1)))
+      assert(r.getAs[Number]("lecobi").intValue() === Reference.lecobi(pi, r.getInt(0), r.getInt(1)))
     }
   }
 

@@ -1,10 +1,12 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.core.{DirtyEr, PaperExample, Profile, ProfileCollection, Tokenizer}
-import repro.blocking.{BlockFiltering, BlockPurging, TokenBlocking}
+import repro.blocking.{BlockFiltering, BlockPurging, TokenBlocking, TokenBlockingWorkflow}
+import repro.data.{HeterogeneousData, StructuredData}
 
 class SparkTokenBlockingSpec extends SparkSpec {
 
@@ -107,6 +109,20 @@ class SparkTokenBlockingSpec extends SparkSpec {
     assert(cards.zip(cards.tail).forall { case (a, b) => a <= b })
     assert(rows.map(_.getString(0)).toSeq ===
       Seq("baker", "brown", "carl", "ellen", "smith", "tailor", "white"))
+    // the block at block_id k is block k of the driver's Profile Index
+    def assertDriverOrder(pc: ProfileCollection, index: DataFrame, purgeFraction: Double, filterRatio: Double): Unit = {
+      val (_, ordered) = SparkTokenBlocking.workflow(
+        index, pc.size.toLong, SparkEr.isCleanClean(pc), purgeFraction, filterRatio)
+      val rows = ordered.orderBy("block_id").select("token", "cardinality", "block_id").collect()
+      val pi = TokenBlockingWorkflow.profileIndex(pc, purgeFraction, filterRatio)
+      val clue = s"${pc.erType} |P|=${pc.size}"
+      assert(rows.map(_.getLong(2)).toSeq === rows.indices.map(_.toLong), clue)
+      assert(rows.map(_.getString(0)).toSeq === pi.orderedBlocks.map(_.key), clue)
+      assert(rows.map(_.getDouble(1).toLong).toSeq === pi.cardinalities.toSeq, clue)
+    }
+    assertDriverOrder(PaperExample.pc, index, purgeFraction = 1.0, filterRatio = 1.0)
+    for (pc <- Seq(StructuredData.census().pc, HeterogeneousData.movies(0.005).pc))
+      assertDriverOrder(pc, SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc)), purgeFraction = 0.1, filterRatio = 0.8)
   }
 
   test("Clean-clean blockStats uses cross-source cardinality (oracle-checked)") {
