@@ -97,7 +97,7 @@ class ComplexityBench extends SparkSpec {
       val nl = NeighborList.build(pc)
       assert(placements === nl.size, s"|P|=${pc.size}: $placements placements, |NL| ${nl.size}")
       val times = for (ranges <- Seq(1, processors)) yield
-        (median(Reference.tokenIndex(pc, ranges)), median(Reference.neighborList(pc, 42, ranges)))
+        (median(Reference.tokenIndex(pc, ranges)), median(Reference.neighborList(pc, ranges)))
       (pc.size, placements, times)
     }
     println(s"=== Table 1 per stage (freebase-like, tokenize and nl.build at 1 and $processors ranges) ===")

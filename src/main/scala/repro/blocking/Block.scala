@@ -34,6 +34,37 @@ object Block {
       }
     }
 
+  /** Every profile's block list: the indices of the `blocks` (each an array
+    * of profile ids below `nProfiles`) that hold it, in the order the
+    * blocks are given. The lists are counted, then filled block by block.
+    */
+  def blockLists(blocks: Array[Array[Int]], nProfiles: Int): Array[Array[Int]] = {
+    val count = new Array[Int](nProfiles)
+    var k = 0
+    while (k < blocks.length) {
+      val ids = blocks(k)
+      var x = 0
+      while (x < ids.length) { count(ids(x)) += 1; x += 1 }
+      k += 1
+    }
+    val lists = new Array[Array[Int]](nProfiles)
+    var p = 0
+    while (p < nProfiles) { lists(p) = new Array[Int](count(p)); count(p) = 0; p += 1 }
+    k = 0
+    while (k < blocks.length) {
+      val ids = blocks(k)
+      var x = 0
+      while (x < ids.length) {
+        p = ids(x)
+        lists(p)(count(p)) = k
+        count(p) += 1
+        x += 1
+      }
+      k += 1
+    }
+    lists
+  }
+
   /** ||b|| of the block holding the first `n` ids of `profiles`. */
   def cardinality(pc: ProfileCollection, profiles: Array[Int], n: Int): Long = {
     var n1, k = 0

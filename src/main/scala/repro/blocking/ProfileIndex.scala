@@ -1,7 +1,5 @@
 package repro.blocking
 
-import repro.core.ProfileCollection
-
 /** The Profile Index of PBS/PPS (Sec. 5.2.1): an inverted index from profile
   * id to the ids of the blocks containing it.
   *
@@ -52,35 +50,13 @@ object ProfileIndex {
     * processing order is deterministic) and build the index.
     */
   def build(bc: BlockCollection): ProfileIndex = {
-    val pc: ProfileCollection = bc.pc
     val (order, cards) = bc.cardinalityOrder
     val blocks = bc.blocks.toArray
     val ordered = new Array[Block](order.length)
     val members = new Array[Array[Int]](order.length)
-    val count = new Array[Int](pc.size)
     var k = 0
-    while (k < order.length) {
-      ordered(k) = blocks(order(k))
-      members(k) = ordered(k).profiles
-      var x = 0
-      while (x < members(k).length) { count(members(k)(x)) += 1; x += 1 }
-      k += 1
-    }
-    val ids = new Array[Array[Int]](pc.size)
-    var p = 0
-    while (p < pc.size) { ids(p) = new Array[Int](count(p)); count(p) = 0; p += 1 }
-    // filled in ascending block id, so every profile's array is sorted
-    k = 0
-    while (k < members.length) {
-      var x = 0
-      while (x < members(k).length) {
-        p = members(k)(x)
-        ids(p)(count(p)) = k
-        count(p) += 1
-        x += 1
-      }
-      k += 1
-    }
-    new ProfileIndex(ordered.toVector, order.map(cards), members, ids)
+    while (k < order.length) { ordered(k) = blocks(order(k)); members(k) = ordered(k).profiles; k += 1 }
+    // listed in ascending block id, so every profile's array is sorted
+    new ProfileIndex(ordered.toVector, order.map(cards), members, Block.blockLists(members, bc.pc.size))
   }
 }

@@ -16,18 +16,4 @@ object Comparison {
   /** Canonicalize an unordered pair into a Comparison. */
   def of(a: Int, b: Int, weight: Double = 0.0): Comparison =
     if (a < b) Comparison(a, b, weight) else Comparison(b, a, weight)
-
-  /** Deterministic descending-weight order with (i, j) tie-break, shared by
-    * every method so emission order is reproducible across runs. Weights
-    * compare negated in `java.lang.Double.compare` order, so every NaN
-    * comes last and 0.0 before -0.0.
-    */
-  val byDescendingWeight: Ordering[Comparison] = new Ordering[Comparison] {
-    def compare(a: Comparison, b: Comparison): Int = {
-      val c = java.lang.Double.compare(-a.weight, -b.weight)
-      if (c != 0) c
-      else if (a.i != b.i) Integer.compare(a.i, b.i)
-      else Integer.compare(a.j, b.j)
-    }
-  }
 }

@@ -9,11 +9,11 @@ import scala.collection.{AbstractIterator, immutable}
   * distinct weight, and the d distinct weights. A `Comparison` is built only
   * when an element is read.
   *
-  * The order is `Comparison.byDescendingWeight`: descending weight in
-  * `java.lang.Double.compare` order, then ascending (i, j). The runs are in
-  * weight order from the start; a run's pairs are sorted the first time
-  * `iterator` or `apply` reaches it, once, under the list's lock, so a
-  * consumer that reads only the top runs never pays for sorting the rest.
+  * The order is descending weight in `java.lang.Double.compare` order,
+  * then ascending (i, j). The runs are in weight order from the start; a
+  * run's pairs are sorted the first time `iterator` or `apply` reaches it,
+  * once, under the list's lock, so a consumer that reads only the top runs
+  * never pays for sorting the rest.
   *
   * @param pairs   the pairs, run `r` at `start(r) until start(r + 1)`
   * @param weights the weight of every run

@@ -12,7 +12,7 @@ import scala.util.hashing.MurmurHash3
   * attribute-value token, so it appears multiple times (Fig. 3e).
   *
   * Ties inside a run of equal keys are ordered by `NeighborList.tie`, a
-  * seeded hash of (key, profileId): the paper calls the within-key order
+  * hash of (key, profileId): the paper calls the within-key order
   * "relatively random" (*coincidental proximity*); hashing reproduces that
   * randomness deterministically, so tests and benchmarks are repeatable.
   *
@@ -34,26 +34,29 @@ final class NeighborList private (
 
 object NeighborList {
 
+  /** The seed of the tie-break hash. */
+  private val TieSeed = 42
+
   /** The within-key tie-break of placement (`key`, `id`): MurmurHash3 of
-    * `key#id` under `seed`. The distributed Neighbor List sorts by it too,
-    * so both lists are bit-identical.
+    * `key#id` under `TieSeed`. The distributed Neighbor List sorts by it
+    * too, so both lists are bit-identical.
     */
-  def tie(key: String, id: Int, seed: Int = 42): Int = MurmurHash3.stringHash(s"$key#$id", seed)
+  def tie(key: String, id: Int): Int = MurmurHash3.stringHash(s"$key#$id", TieSeed)
 
   /** Where every tie of `key` continues from (`streamedTie`):
     * `MurmurHash3.stringHash`'s state after the pairs of units of `key#`
     * that the key completes — its own pairs, and its odd last unit with '#'
     * — in the high 32 bits, the key's length in the low 32.
     */
-  private[core] def tieState(key: String, seed: Int): Long = {
-    var h = seed
+  private[core] def tieState(key: String): Long = {
+    var h = TieSeed
     var i = 0
     while (i + 1 < key.length) { h = MurmurHash3.mix(h, (key.charAt(i) << 16) + key.charAt(i + 1)); i += 2 }
     if (i < key.length) h = MurmurHash3.mix(h, (key.charAt(i) << 16) + '#')
     h.toLong << 32 | key.length
   }
 
-  /** `tie(key, id, seed)` for an id ≥ 0, from `state = tieState(key, seed)`:
+  /** `tie(key, id)` for an id ≥ 0, from `state = tieState(key)`:
     * the units left — '#' after a key of even length, then the digits of
     * `id` — are hashed as `stringHash` hashes them, with no string built.
     */
@@ -82,18 +85,15 @@ object NeighborList {
   /** Build the Neighbor List of a collection from its `TokenIndex`: one
     * placement per (profile, distinct token), in the index's order.
     */
-  def build(pc: ProfileCollection, seed: Int = 42): NeighborList = {
+  def build(pc: ProfileCollection): NeighborList = {
     val index = TokenIndex(pc)
-    sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.ranges(_, MinPlacements)(_))
+    sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, ForkJoin.ranges(_, MinPlacements)(_))
   }
 
   /** Build from explicit (key, profileId) placements — used by tests and by
     * the schema-based PSN (single key per profile).
     */
-  def fromPlacements(
-      placements: Seq[(String, Int)],
-      nProfiles: Int,
-      seed: Int = 42): NeighborList = {
+  def fromPlacements(placements: Seq[(String, Int)], nProfiles: Int): NeighborList = {
     val n = placements.size
     val ids = new Array[Int](n)
     val keyOf = new Array[Int](n)
@@ -104,7 +104,7 @@ object NeighborList {
       keyOf(k) = dictionary.id(key)
       k += 1
     }
-    sorted(dictionary.strings, keyOf, ids, nProfiles, seed, ForkJoin.ranges(_, MinPlacements)(_))
+    sorted(dictionary.strings, keyOf, ids, nProfiles, ForkJoin.ranges(_, MinPlacements)(_))
   }
 
   /** The list of placements k: profile `ids(k)` under key `keys(keyOf(k))`,
@@ -123,7 +123,6 @@ object NeighborList {
       keyOf: Array[Int],
       ids: Array[Int],
       nProfiles: Int,
-      seed: Int,
       cut: (Int, Int => Long) => Array[Int]): NeighborList = {
     val n = ids.length
     val keyOrder = RankSort.strings(keys)
@@ -146,7 +145,7 @@ object NeighborList {
         val from = start(r)
         val until = start(r + 1)
         if (until - from > 1) {
-          val state = tieState(key, seed)
+          val state = tieState(key)
           var pos = from
           while (pos < until) {
             val k = order(pos)

@@ -27,7 +27,8 @@ final class PPS(
   val name = "PPS"
 
   /** Algorithm 5: duplication likelihoods, Sorted Profile List and the
-    * deduplicated set of per-node top comparisons, sorted. The
+    * deduplicated set of per-node top comparisons, sorted, with every
+    * node's top neighbour. The
     * neighbourhoods are loaded in the contiguous ranges of profile ids of
     * about equal neighbourhood work that `ForkJoin.ranges` cuts.
     *
@@ -56,9 +57,9 @@ final class PPS(
     * in id order, so the result does not depend on the cut.
     */
   private[repro] def initialize(bounds: Array[Int]): PPS.Init = {
-    // every node's negated likelihood, and the other end and the weight of
-    // its top edge; the other end is -1 for a node without edges
-    val negatedLikelihood = new Array[Double](pc.size)
+    // every node's likelihood, and the other end and the weight of its top
+    // edge; the other end is -1 for a node without edges
+    val likelihood = new Array[Double](pc.size)
     val topJ = new Array[Int](pc.size)
     val topW = new Array[Double](pc.size)
     ForkJoin.all(bounds.length - 1, () => new BlockingGraph.Neighborhoods(pc, profileIndex)) { (nb, q) =>
@@ -75,20 +76,21 @@ final class PPS(
             if (PPS.precedes(nb.weight(k), nb.neighbor(k), nb.weight(best), nb.neighbor(best))) best = k
             k += 1
           }
-          negatedLikelihood(i) = -(sum / n)
+          likelihood(i) = sum / n
           topJ(i) = nb.neighbor(best)
           topW(i) = nb.weight(best)
         }
         i += 1
       }
     }
-    // the Sorted Profile List: descending likelihood, ties by ascending id
-    val nodes = Array.range(0, pc.size).filter(topJ(_) >= 0)
-    val (rank, distinct) = RankSort.rank(nodes.map(negatedLikelihood), nodes.length)
-    val sortedProfiles = RankSort.group(rank, distinct.length)._1.iterator.map(nodes(_)).toVector
+    // the Sorted Profile List: the nodes by descending likelihood, ties by
+    // ascending id
+    val sortedProfiles = RankSort.descending(likelihood, pc.size).filter(topJ(_) >= 0).toVector
     // the top edges, each pair once: a pair that is the top edge of both its
     // ends is taken at its smaller end
-    val pairs = nodes.collect { case i if !(topJ(topJ(i)) == i && topJ(i) < i) => PPS.pack(i, topJ(i)) }
+    val pairs = Array.range(0, pc.size).collect {
+      case i if topJ(i) >= 0 && !(topJ(topJ(i)) == i && topJ(i) < i) => PPS.pack(i, topJ(i))
+    }
     Arrays.sort(pairs)
     val weights = pairs.map { p =>
       val i = (p >>> 32).toInt
@@ -97,13 +99,12 @@ final class PPS(
     val top = RankSort.descending(weights, pairs.length).iterator.map { x =>
       Comparison((pairs(x) >>> 32).toInt, pairs(x).toInt, weights(x))
     }
-    PPS.Init(top.toVector, sortedProfiles)
+    PPS.Init(top.toVector, sortedProfiles)(topJ)
   }
 
   def emissions: Iterator[Comparison] = {
     val init = initialize()
-    val emittedAtInit = init.topComparisons.iterator.map(c => PPS.pack(c.i, c.j)).toArray
-    Arrays.sort(emittedAtInit)
+    val top = init.topNeighbor
     val checked = new Array[Boolean](pc.size)
     val nb = new BlockingGraph.Neighborhoods(pc, profileIndex)
     init.topComparisons.iterator ++ init.sortedProfileList.iterator.flatMap { i =>
@@ -114,7 +115,8 @@ final class PPS(
       var k = 0
       while (k < n) {
         val j = nb.neighbor(k)
-        if (!checked(j) && Arrays.binarySearch(emittedAtInit, PPS.pack(i, j)) < 0) { candidates(m) = j; m += 1 }
+        // (i, j) was emitted at initialization if it is the top edge of i or of j
+        if (!checked(j) && top(i) != j && top(j) != i) { candidates(m) = j; m += 1 }
         k += 1
       }
       // the kMax top by (−weight, j): for the edges of node i, the
@@ -131,10 +133,16 @@ final class PPS(
 
 object PPS {
 
-  /** Result of the initialization phase (Algorithm 5). */
+  /** Result of the initialization phase (Algorithm 5).
+    *
+    * @param topNeighbor every node's top neighbour — the other end of its
+    *                    top comparison — or -1 for a node without edges; it
+    *                    takes no part in equality
+    */
   final case class Init(
       topComparisons: Vector[Comparison],
-      sortedProfileList: Vector[Int])
+      sortedProfileList: Vector[Int])(
+      private[repro] val topNeighbor: Array[Int])
 
   /** Neighbourhood work below which a range of profiles is not worth a task
     * of its own.
@@ -146,8 +154,9 @@ object PPS {
     if (a < b) a.toLong << 32 | b else b.toLong << 32 | a
 
   /** Does edge (i, j) with weight `w` come before edge (i, bj) with weight
-    * `bw` in `Comparison.byDescendingWeight`? For two edges of one node i,
-    * the canonical pairs order as their other ends j and bj do.
+    * `bw` in the descending-weight order of comparisons — negated weights
+    * in `java.lang.Double.compare` order, ties by (i, j)? For two edges of
+    * one node i, the canonical pairs order as their other ends j and bj do.
     */
   private def precedes(w: Double, j: Int, bw: Double, bj: Int): Boolean = {
     val c = java.lang.Double.compare(-w, -bw)

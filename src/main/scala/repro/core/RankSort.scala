@@ -7,9 +7,9 @@ import java.util.Arrays
   * `group` groups elements under primitive keys, stably: no comparator, so
   * the result is fully determined by the input. Every sequential grouping
   * goes through it: the Neighbor List and its Position Index, the blocks of
-  * `TokenIndex.blocks`, the smallest-first block lists of Block Filtering,
-  * the cardinality order of blocks, the PPS Sorted Profile List and the
-  * descending-weight order of PBS's and PPS's comparisons (`descending`). A
+  * `TokenIndex.blocks`, the cardinality order of blocks and the descending
+  * order of PBS's and PPS's comparisons and of the PPS Sorted Profile List
+  * (`descending`). A
   * key that orders by a `Double` or a `Long` is ranked densely first
   * (`rank`), and distinct strings are ordered on packed prefixes of their
   * units (`strings`): the Neighbor List's keys and the blocks' keys.
@@ -41,10 +41,10 @@ private[repro] object RankSort {
   }
 
   /** The indices of the first `n` weights, by descending weight — ascending
-    * negated weight in `java.lang.Double.compare` order, as in
-    * `Comparison.byDescendingWeight` — and ascending within a weight: the
-    * `Comparison.byDescendingWeight` order of comparisons listed in
-    * ascending (i, j).
+    * negated weight in `java.lang.Double.compare` order, so every NaN comes
+    * last and 0.0 before -0.0 — and ascending within a weight: for
+    * comparisons listed in ascending (i, j), the descending-weight order
+    * with (i, j) tie-break that the weighted methods emit in.
     */
   def descending(weights: Array[Double], n: Int): Array[Int] = {
     if (n <= 1) return Array.range(0, n)

@@ -53,9 +53,11 @@ object SparkTokenBlocking {
     * The final stats include the PBS processing order: `block_id` is the rank
     * of the block after sorting by (post-filter cardinality, token). The
     * stats are collected and ranked on the driver, in the order of the
-    * driver's Profile Index, into a local relation. The collection is the
-    * first read of `filtered`, which is persisted first, so the caller's
-    * reads do not compute it again; the caller unpersists it when done.
+    * driver's Profile Index, into a local relation, and the filtered index
+    * keeps the memberships of those blocks only, as the driver's blocks do.
+    * The retained index is persisted for the collection and read once more
+    * to fill the filtered index, which is persisted in its place: the one
+    * DataFrame left cached, which the caller unpersists when done.
     */
   def workflow(
       index: DataFrame,
@@ -64,12 +66,16 @@ object SparkTokenBlocking {
       purgeFraction: Double = 0.1,
       filterRatio: Double = 0.8): (DataFrame, DataFrame) = {
     val purged   = purge(blockStats(index, cleanClean), nProfiles, purgeFraction)
-    val filtered = filterIndex(index, purged, filterRatio).persist()
-    val stats    = blockStats(filtered, cleanClean)
+    val retained = filterIndex(index, purged, filterRatio).persist()
+    val stats    = blockStats(retained, cleanClean)
     val byOrder  = stats.collect().sortBy(r => (r.getAs[Double]("cardinality").toLong, r.getAs[String]("token")))
     val ordered  = index.sparkSession.createDataFrame(
       byOrder.indices.map(k => Row.fromSeq(byOrder(k).toSeq :+ k.toLong)).asJava,
       stats.schema.add("block_id", "long", nullable = false))
+    val filtered = retained.join(broadcast(ordered.select("token")), Seq("token"), "left_semi")
+      .select("profile_id", "source", "token").persist()
+    filtered.count() // filled while `retained` is cached, so it is not computed again
+    retained.unpersist()
     (filtered, ordered)
   }
 }

@@ -9,8 +9,10 @@ import scala.collection.mutable
   */
 object BoxedReference {
 
-  /** The tuple ordering the hand-written `Comparison.byDescendingWeight`
-    * replaced.
+  /** The descending-weight order with (i, j) tie-break that the weighted
+    * methods emit in, as a tuple ordering: weights compare negated in
+    * `java.lang.Double.compare` order, so every NaN comes last and 0.0
+    * before -0.0.
     */
   val byDescendingWeight: Ordering[Comparison] =
     Ordering.by((c: Comparison) => (-c.weight, c.i, c.j))
@@ -114,6 +116,7 @@ object BoxedReference {
   def pps(pc: ProfileCollection, pi: ProfileIndex, kMax: Int): (PPS.Init, Vector[Comparison]) = {
     val top = mutable.LinkedHashMap.empty[(Int, Int), Comparison]
     val likelihood = mutable.ArrayBuffer.empty[(Int, Double)]
+    val topNeighbor = Array.fill(pc.size)(-1)
     for (i <- 0 until pc.size) {
       val nbrs = neighborhood(pc, pi, i)
       if (nbrs.nonEmpty) {
@@ -122,11 +125,12 @@ object BoxedReference {
         likelihood += ((i, sum / nbrs.size))
         val best = nbrs.map { case (j, w) => Comparison.of(i, j, w) }.min(byDescendingWeight)
         if (!top.contains(best.pair)) top.update(best.pair, best)
+        topNeighbor(i) = if (best.i == i) best.j else best.i
       }
     }
     val init = PPS.Init(
       top.values.toVector.sorted(byDescendingWeight),
-      likelihood.sortBy { case (id, dl) => (-dl, id) }.map(_._1).toVector)
+      likelihood.sortBy { case (id, dl) => (-dl, id) }.map(_._1).toVector)(topNeighbor)
     val emittedAtInit = init.topComparisons.map(_.pair).toSet
     val checked = mutable.HashSet.empty[Int]
     val stream = init.topComparisons ++ init.sortedProfileList.flatMap { i =>

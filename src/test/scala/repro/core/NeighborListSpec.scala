@@ -39,21 +39,11 @@ class NeighborListSpec extends SparkSpec {
     assert(whitePos.max - whitePos.min === whitePos.length - 1)
   }
 
-  test("builds are deterministic for a fixed seed") {
-    val a = NeighborList.build(PaperExample.pc, seed = 7)
-    val b = NeighborList.build(PaperExample.pc, seed = 7)
+  test("builds are deterministic") {
+    val a = NeighborList.build(PaperExample.pc)
+    val b = NeighborList.build(PaperExample.pc)
     assert(a.entries.toSeq === b.entries.toSeq)
     assert(a.keys.toSeq === b.keys.toSeq)
-  }
-
-  test("different seeds permute only within equal-key runs") {
-    val a = NeighborList.build(PaperExample.pc, seed = 1)
-    val b = NeighborList.build(PaperExample.pc, seed = 2)
-    assert(a.keys.toSeq === b.keys.toSeq) // key order identical
-    // per-key multiset of profiles identical
-    val byKeyA = a.keys.zip(a.entries).groupBy(_._1).view.mapValues(_.map(_._2).sorted.toSeq).toMap
-    val byKeyB = b.keys.zip(b.entries).groupBy(_._1).view.mapValues(_.map(_._2).sorted.toSeq).toMap
-    assert(byKeyA === byKeyB)
   }
 
   test("fromPlacements with one key per profile (PSN layout) has |P| entries") {

@@ -82,7 +82,7 @@ class ProfileSpec extends SparkSpec {
 
   test("byDescendingWeight sorts by weight, ties by (i, j)") {
     val cs = Seq(Comparison(0, 2, 0.5), Comparison(0, 1, 0.9), Comparison(1, 2, 0.5))
-    assert(cs.sorted(Comparison.byDescendingWeight) ===
+    assert(cs.sorted(BoxedReference.byDescendingWeight) ===
       Seq(Comparison(0, 1, 0.9), Comparison(0, 2, 0.5), Comparison(1, 2, 0.5)))
   }
 }

@@ -125,7 +125,7 @@ class PropertySpec extends SparkSpec {
       val pairs = cs.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L)
       val weights = cs.map(_.weight).toArray ++ Array(Double.NaN, 2.0)
       val sorted = listOf(pairs, weights, cs.size)
-      assert(exact(sorted) === exact(cs.sorted(Comparison.byDescendingWeight)), cs)
+      assert(exact(sorted) === exact(cs.sorted(BoxedReference.byDescendingWeight)), cs)
     }
   }
 
@@ -138,20 +138,6 @@ class PropertySpec extends SparkSpec {
       .map(java.lang.Double.longBitsToDouble),
     1 -> Gen.oneOf(Double.MinPositiveValue, -Double.MinPositiveValue, java.lang.Double.MIN_NORMAL / 3),
     2 -> Gen.choose(-1e6, 1e6))
-
-  test("the hand-written descending-weight ordering equals the tuple ordering") {
-    val gen = Gen.listOf(for {
-      i <- Gen.choose(0, 4)
-      j <- Gen.choose(i + 1, 5)
-      w <- anyDoubleGen
-    } yield Comparison(i, j, w))
-    for (cs <- samples(gen, 200)) {
-      assert(exact(cs.sorted(Comparison.byDescendingWeight)) === exact(cs.sorted(BoxedReference.byDescendingWeight)), cs)
-      for (a <- cs; b <- cs)
-        assert(Integer.signum(Comparison.byDescendingWeight.compare(a, b)) ===
-          Integer.signum(BoxedReference.byDescendingWeight.compare(a, b)), (a, b))
-    }
-  }
 
   test("RankSort.rank equals the sort-based rank, spare capacity past n included") {
     val gen = for {
@@ -240,7 +226,7 @@ class PropertySpec extends SparkSpec {
       val shuffled = new scala.util.Random(cs.size).shuffle(cs)
       val fresh = () => listOf(
         shuffled.map(c => c.i.toLong << 32 | c.j).toArray, shuffled.map(_.weight).toArray, cs.size)
-      val expected = exact(cs.sorted(Comparison.byDescendingWeight))
+      val expected = exact(cs.sorted(BoxedReference.byDescendingWeight))
       for ((how, read) <- everyReading(fresh))
         assert(exact(read) === expected, s"$how, n=${cs.size}")
     }
@@ -317,10 +303,10 @@ class PropertySpec extends SparkSpec {
     val keys = samples(rawValueGen, 100) ++ Seq("", "a", "ab", "abc", "é", "ß", "\ud83d\ude00", "x\ud83d\ude00", "İ")
     val ids = Seq(0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 99999, 100000, 999999, 1000000,
       9999999, 10000000, 99999999, 100000000, 999999999, 1000000000, Int.MaxValue - 1, Int.MaxValue)
-    for (key <- keys; seed <- Seq(42, 7)) {
-      val state = NeighborList.tieState(key, seed)
+    for (key <- keys) {
+      val state = NeighborList.tieState(key)
       for (id <- ids)
-        assert(NeighborList.streamedTie(state, id) === NeighborList.tie(key, id, seed), (key, id, seed))
+        assert(NeighborList.streamedTie(state, id) === NeighborList.tie(key, id), (key, id))
     }
   }
 
@@ -435,11 +421,11 @@ class PropertySpec extends SparkSpec {
   }
 
   test("the Neighbor List of the token index equals the list of the placements for any cut into ranges") {
-    for (pc <- indexCollections; seed <- Seq(42, 7)) {
-      val expected = NeighborList.fromPlacements(Tokenizer.placements(pc), pc.size, seed)
-      for ((ranges, nl) <- rangeCounts(pc).map(q => (q.toString, Reference.neighborList(pc, seed, q))) :+
-             ("default" -> NeighborList.build(pc, seed))) {
-        val clue = s"${pc.erType} |P|=${pc.size} seed=$seed ranges=$ranges"
+    for (pc <- indexCollections) {
+      val expected = NeighborList.fromPlacements(Tokenizer.placements(pc), pc.size)
+      for ((ranges, nl) <- rangeCounts(pc).map(q => (q.toString, Reference.neighborList(pc, q))) :+
+             ("default" -> NeighborList.build(pc))) {
+        val clue = s"${pc.erType} |P|=${pc.size} ranges=$ranges"
         assert(nl.entries.toSeq === expected.entries.toSeq, clue)
         assert(nl.keys.toSeq === expected.keys.toSeq, clue)
         assert(nl.positionIndex.map(_.toSeq).toSeq === expected.positionIndex.map(_.toSeq).toSeq, clue)
@@ -589,8 +575,10 @@ class PropertySpec extends SparkSpec {
         val pps = new PPS(pc, pi, kMax)
         val (init, stream) = BoxedReference.pps(pc, pi, kMax)
         val clue = s"${pc.erType} |P|=${pc.size} kMax=$kMax"
-        assert(exact(pps.initialize().topComparisons) === exact(init.topComparisons), clue)
-        assert(pps.initialize().sortedProfileList === init.sortedProfileList, clue)
+        val actual = pps.initialize()
+        assert(exact(actual.topComparisons) === exact(init.topComparisons), clue)
+        assert(actual.sortedProfileList === init.sortedProfileList, clue)
+        assert(actual.topNeighbor.toSeq === init.topNeighbor.toSeq, clue)
         assert(exact(pps.emissions.toVector) === exact(stream), clue)
       }
     }
@@ -628,6 +616,7 @@ class PropertySpec extends SparkSpec {
         val clue = s"${pc.erType} |P|=${pc.size} ranges=$q"
         assert(exact(init.topComparisons) === exact(expected.topComparisons), clue)
         assert(init.sortedProfileList === expected.sortedProfileList, clue)
+        assert(init.topNeighbor.toSeq === expected.topNeighbor.toSeq, clue)
       }
     }
   }

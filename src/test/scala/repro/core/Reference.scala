@@ -101,9 +101,9 @@ object Reference {
     * `tokenIndex`, and its key runs sorted in `ranges` ranges of about equal
     * placements, the work measure `NeighborList.build` cuts by.
     */
-  def neighborList(pc: ProfileCollection, seed: Int, ranges: Int): NeighborList = {
+  def neighborList(pc: ProfileCollection, ranges: Int): NeighborList = {
     val index = tokenIndex(pc, ranges)
-    NeighborList.sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, seed, ForkJoin.cut(_, ranges)(_))
+    NeighborList.sorted(index.tokens, index.tokenIds, index.placementProfiles, pc.size, ForkJoin.cut(_, ranges)(_))
   }
 
   /** The four structured datasets at small scale. */

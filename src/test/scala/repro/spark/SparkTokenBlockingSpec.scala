@@ -125,6 +125,27 @@ class SparkTokenBlockingSpec extends SparkSpec {
       assertDriverOrder(pc, SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc)), purgeFraction = 0.1, filterRatio = 0.8)
   }
 
+  test("the workflow's filtered index holds the memberships of the driver's filtered blocks, and is all it leaves cached") {
+    val sc = spark.sparkContext
+    def assertDriverMemberships(pc: ProfileCollection, index: DataFrame, purgeFraction: Double, filterRatio: Double): Unit = {
+      index.count()
+      val cached = sc.getPersistentRDDs.keySet
+      val (filtered, _) = SparkTokenBlocking.workflow(
+        index, pc.size.toLong, SparkEr.isCleanClean(pc), purgeFraction, filterRatio)
+      val pi = TokenBlockingWorkflow.profileIndex(pc, purgeFraction, filterRatio)
+      val clue = s"${pc.erType} |P|=${pc.size}"
+      assert(filtered.count() === pi.orderedBlocks.map(_.size.toLong).sum, clue)
+      assert(filtered.collect().map(r => (r.getString(2), r.getInt(0))).toSet ===
+        pi.orderedBlocks.flatMap(b => b.profiles.map(b.key -> _)).toSet, clue)
+      filtered.unpersist(blocking = true)
+      assert(sc.getPersistentRDDs.keySet.forall(cached), clue)
+    }
+    // filtering at 0.5 leaves "tailor" and "white" with one profile each
+    assertDriverMemberships(PaperExample.pc, index, purgeFraction = 1.0, filterRatio = 0.5)
+    for (pc <- Seq(StructuredData.census().pc, HeterogeneousData.movies(0.005).pc))
+      assertDriverMemberships(pc, SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc)), purgeFraction = 0.1, filterRatio = 0.8)
+  }
+
   test("Clean-clean blockStats uses cross-source cardinality (oracle-checked)") {
     import spark.implicits._
     val cc = Seq(
