@@ -5,116 +5,100 @@ import scala.collection.{AbstractIterator, immutable}
 
 /** A sorted Comparison List of LS-PSN / GS-PSN in 8 bytes a stored
   * comparison (against ~40 for a boxed `Comparison` and its reference): the
-  * canonical pairs packed as `i << 32 | j`, bucketed into one run per
-  * distinct weight, and the d distinct weights. A `Comparison` is built only
-  * when an element is read.
+  * window scan's ranges as they return, each with its canonical pairs
+  * packed as `i << 32 | j` and grouped into one run per distinct weight.
+  * A `Comparison` is built only when an element is read.
   *
   * The order is descending weight in `java.lang.Double.compare` order,
-  * then ascending (i, j). The runs are in weight order from the start; a
-  * run's pairs are sorted the first time `iterator` or `apply` reaches it,
-  * once, under the list's lock, so a consumer that reads only the top runs
-  * never pays for sorting the rest.
-  *
-  * @param pairs   the pairs, run `r` at `start(r) until start(r + 1)`
-  * @param weights the weight of every run
+  * then ascending (i, j). Every iterator merges the ranges on read: it
+  * takes the next weight, gathers that weight's run from every range that
+  * holds it into its own buffer and sorts it, so a consumer that reads
+  * only the top weights never pays for sorting the rest. Iterators share
+  * only immutable arrays.
   */
-final class ComparisonList private (pairs: Array[Long], start: Array[Int], weights: Array[Double])
-    extends immutable.IndexedSeq[Comparison] {
+final class ComparisonList private[core] (parts: IndexedSeq[ComparisonList.Part])
+    extends immutable.Iterable[Comparison] {
 
-  private val sortedRuns = new Array[Boolean](weights.length)
+  override val size: Int = parts.map(_.pairs.length).sum
 
-  def length: Int = pairs.length
-
-  def apply(k: Int): Comparison = {
-    if (k < 0 || k >= pairs.length) throw new IndexOutOfBoundsException(s"$k is out of bounds (length $length)")
-    val found = Arrays.binarySearch(start, k)
-    val r = if (found >= 0) found else -found - 2
-    sortRun(r)
-    comparison(k, r)
-  }
+  override def knownSize: Int = size
 
   override def iterator: Iterator[Comparison] = new AbstractIterator[Comparison] {
+    private val runOf = new Array[Int](parts.length) // every part's next run
+    private var run = new Array[Long](16) // the pairs of the weight being read
+    private var n = 0
     private var k = 0
-    private var r = -1 // the run of the last element read
+    private var weight = 0.0
 
-    def hasNext: Boolean = k < pairs.length
+    def hasNext: Boolean = k < n || gather()
 
     def next(): Comparison = {
-      if (k >= pairs.length) throw new NoSuchElementException("next on an exhausted Comparison List")
-      if (r < 0 || k == start(r + 1)) { r += 1; sortRun(r) }
-      val c = comparison(k, r)
+      if (!hasNext) throw new NoSuchElementException("next on an exhausted Comparison List")
+      val p = run(k)
       k += 1
-      c
+      Comparison((p >>> 32).toInt, p.toInt, weight)
     }
-  }
 
-  private def comparison(k: Int, r: Int): Comparison = {
-    val p = pairs(k)
-    Comparison((p >>> 32).toInt, p.toInt, weights(r))
-  }
-
-  private def sortRun(r: Int): Unit = synchronized {
-    if (!sortedRuns(r)) {
-      Arrays.sort(pairs, start(r), start(r + 1))
-      sortedRuns(r) = true
+    /** Reads the smallest negated weight of the parts' next runs, the first
+      * part's value on a tie, and gathers and sorts its pairs from every
+      * part; false when every part is read.
+      */
+    private def gather(): Boolean = {
+      var min = Double.NaN
+      var found = false
+      var q = 0
+      while (q < parts.length) {
+        val p = parts(q)
+        if (runOf(q) < p.negated.length && (!found || java.lang.Double.compare(p.negated(runOf(q)), min) < 0)) {
+          min = p.negated(runOf(q))
+          found = true
+        }
+        q += 1
+      }
+      if (found) {
+        n = 0
+        k = 0
+        q = 0
+        while (q < parts.length) {
+          val p = parts(q)
+          val r = runOf(q)
+          if (r < p.negated.length && java.lang.Double.compare(p.negated(r), min) == 0) {
+            val length = p.start(r + 1) - p.start(r)
+            if (n + length > run.length) run = Arrays.copyOf(run, math.max(n + length, 2 * run.length))
+            System.arraycopy(p.pairs, p.start(r), run, n, length)
+            n += length
+            runOf(q) = r + 1
+          }
+          q += 1
+        }
+        Arrays.sort(run, 0, n)
+        weight = -min
+      }
+      found
     }
   }
 }
 
 object ComparisonList {
 
-  /** `n` comparisons of a window scan: their packed pairs and the ids of
-    * their negated weights in `negatedWeights`. Descending weight is
-    * ascending negated weight; -(-w) restores w bit for bit.
+  /** The comparisons of one window-scan range, grouped by weight: run `r`
+    * is `pairs(start(r) until start(r + 1))`, of the negated weight
+    * `negated(r)`; the negated weights are distinct and ascending in
+    * `Double.compare` order. Descending weight is ascending negated
+    * weight; -(-w) restores w bit for bit.
     */
-  private[core] final class Part(
-      val pairs: Array[Long],
-      val ids: Array[Int],
-      val n: Int,
-      val negatedWeights: RankSort.Dictionary) {
+  private[core] final class Part(val pairs: Array[Long], val start: Array[Int], val negated: Array[Double])
 
-    /** The number of comparisons of every id. */
-    def counts: Array[Int] = {
-      val c = new Array[Int](negatedWeights.size)
-      var t = 0
-      while (t < n) { c(ids(t)) += 1; t += 1 }
-      c
-    }
-  }
-
-  /** The list of the comparisons of every part; no pair may occur twice.
-    * The distinct weights are ranked through one dictionary, and every part
-    * counting-sorts its pairs by rank into its own slots of each run, in
-    * parallel. No run is sorted yet.
+  /** The first `n` packed pairs grouped by their negated weights, the
+    * first occurrence of a weight representing it.
     */
-  private[core] def of(parts: Seq[Part]): ComparisonList = {
-    val global = new RankSort.Dictionary
-    val globalIds = parts.map(p => Array.tabulate(p.negatedWeights.size)(k => global.id(p.negatedWeights.value(k))))
-    val (rankOfId, negatedDistinct) = global.ranked()
-    val d = negatedDistinct.length
-    val counts = ForkJoin.all(parts.length)(parts(_).counts)
-    val start = new Array[Int](d + 1)
-    for ((c, g) <- counts.zip(globalIds); k <- c.indices) start(rankOfId(g(k)) + 1) += c(k)
-    var r = 0
-    while (r < d) { start(r + 1) += start(r); r += 1 }
-    // every part's next slot for each of its ids, parts in order within a run
-    val next = Arrays.copyOf(start, d)
-    val slots = counts.zip(globalIds).map { case (c, g) =>
-      Array.tabulate(c.length) { k => val rk = rankOfId(g(k)); val s = next(rk); next(rk) += c(k); s }
-    }
-    val out = new Array[Long](start(d))
-    ForkJoin.all(parts.length) { q =>
-      val p = parts(q)
-      val slot = slots(q)
-      var t = 0
-      while (t < p.n) {
-        val k = p.ids(t)
-        out(slot(k)) = p.pairs(t)
-        slot(k) += 1
-        t += 1
-      }
-    }
-    new ComparisonList(out, start, negatedDistinct.map(-_))
+  private[core] def part(pairs: Array[Long], negated: Array[Double], n: Int): Part = {
+    val (ranks, distinct) = RankSort.rank(negated, n)
+    val (order, start) = RankSort.group(ranks, distinct.length)
+    val grouped = new Array[Long](n)
+    var t = 0
+    while (t < n) { grouped(t) = pairs(order(t)); t += 1 }
+    new Part(grouped, start, distinct)
   }
 }
 
@@ -186,7 +170,7 @@ private[core] object WindowScan {
       wHi: Int,
       ids: Array[Int],
       bounds: Array[Int]): ComparisonList =
-    ComparisonList.of(ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
+    new ComparisonList(ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
       scan(pc, nl, view, ids, bounds(q), bounds(q + 1), wLo, wHi, counts)
     })
 
@@ -237,14 +221,13 @@ private[core] object WindowScan {
     val size = nl.size.toLong
     val count = counts.count
     val touched = counts.touched
-    val negatedWeights = new RankSort.Dictionary
     var placements = 0L
     var x = from
     while (x < until) { placements += nl.positionsOf(ids(x)).length; x += 1 }
     // At most one pair per (position, window size, direction).
     val bound = math.min(Int.MaxValue - 8L, 2 * placements * windows).toInt
     var pairs = new Array[Long](math.min(bound.toLong, math.max(16L, placements)).toInt)
-    var weightIds = new Array[Int](pairs.length)
+    var negated = new Array[Double](pairs.length)
     var n = 0
     // The slice bound of Neighbor List position p, clipped to [0, |NL|].
     def at(p: Long): Int = view.before(math.max(0L, math.min(size, p)).toInt)
@@ -264,21 +247,21 @@ private[core] object WindowScan {
       if (n + nt > pairs.length) {
         val cap = math.min(bound.toLong, math.max(n + nt, pairs.length * 2L)).toInt
         pairs = Arrays.copyOf(pairs, cap)
-        weightIds = Arrays.copyOf(weightIds, cap)
+        negated = Arrays.copyOf(negated, cap)
       }
       val lenI = positions.length
       var t = 0
       while (t < nt) {
         val j = touched(t)
         pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
-        weightIds(n) = negatedWeights.id(-Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows))
+        negated(n) = -Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows)
         n += 1
         count(j) = 0
         t += 1
       }
       x += 1
     }
-    new ComparisonList.Part(pairs, weightIds, n, negatedWeights)
+    ComparisonList.part(pairs, negated, n)
   }
 
   /** Counts every id below `limit` of `ids(from until until)` in `count`,
@@ -347,8 +330,10 @@ final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMe
   * every window contributes up to |NL| comparisons, a budget of `c` stored
   * comparisons bounds the usable window range to ~`c / |NL|`. The list is a
   * packed `ComparisonList`, 8 bytes a stored comparison, so `c` stored
-  * comparisons take ~8·`c` bytes of heap; while it is built, the scan's
-  * ranges hold 12 bytes more a comparison (pair and weight id).
+  * comparisons take ~8·`c` bytes of heap; while it is built, a scan range
+  * holds at most 32 bytes a comparison (pair and negated weight, then rank,
+  * grouped index and grouped pair), and an iterator holds the pairs of the
+  * weight it reads.
   *
   * @param wMax the largest window size, at least 1
   */

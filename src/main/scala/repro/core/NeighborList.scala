@@ -37,11 +37,11 @@ object NeighborList {
   /** The seed of the tie-break hash. */
   private val TieSeed = 42
 
-  /** The within-key tie-break of placement (`key`, `id`): MurmurHash3 of
-    * `key#id` under `TieSeed`. The distributed Neighbor List sorts by it
-    * too, so both lists are bit-identical.
+  /** The within-key tie-break of placement (`key`, `id`), for an id ≥ 0:
+    * MurmurHash3 of `key#id` under `TieSeed`, streamed. The distributed
+    * Neighbor List sorts by it too, so both lists are bit-identical.
     */
-  def tie(key: String, id: Int): Int = MurmurHash3.stringHash(s"$key#$id", TieSeed)
+  def tie(key: String, id: Int): Int = streamedTie(tieState(key), id)
 
   /** Where every tie of `key` continues from (`streamedTie`):
     * `MurmurHash3.stringHash`'s state after the pairs of units of `key#`
@@ -56,7 +56,7 @@ object NeighborList {
     h.toLong << 32 | key.length
   }
 
-  /** `tie(key, id)` for an id ≥ 0, from `state = tieState(key)`:
+  /** `stringHash` of `key#id` for an id ≥ 0, from `state = tieState(key)`:
     * the units left — '#' after a key of even length, then the digits of
     * `id` — are hashed as `stringHash` hashes them, with no string built.
     */

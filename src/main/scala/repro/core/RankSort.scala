@@ -5,14 +5,16 @@ import java.util.Arrays
 /** The one sequential counting sort, and the dense ranks it groups by.
   *
   * `group` groups elements under primitive keys, stably: no comparator, so
-  * the result is fully determined by the input. Every sequential grouping
-  * goes through it: the Neighbor List and its Position Index, the blocks of
-  * `TokenIndex.blocks`, the cardinality order of blocks and the descending
-  * order of PBS's and PPS's comparisons and of the PPS Sorted Profile List
-  * (`descending`). A
-  * key that orders by a `Double` or a `Long` is ranked densely first
-  * (`rank`), and distinct strings are ordered on packed prefixes of their
-  * units (`strings`): the Neighbor List's keys and the blocks' keys.
+  * the result is fully determined by the input. It groups the Neighbor
+  * List and its Position Index, the blocks of `TokenIndex.blocks`, the
+  * cardinality order of blocks, the pairs of every window-scan range by
+  * weight (`ComparisonList.part`) and the descending order of PBS's and
+  * PPS's comparisons and of the PPS Sorted Profile List (`descending`).
+  * Per-profile block lists do not go through it: `Block.blockLists` fills
+  * them directly. A key that orders by a `Double` or a `Long` is ranked
+  * densely first (`rank`), and distinct strings are ordered on packed
+  * prefixes of their units (`strings`): the Neighbor List's keys and the
+  * blocks' keys.
   */
 private[repro] object RankSort {
 
@@ -212,17 +214,11 @@ private[repro] object RankSort {
     * distinct values need sorting to rank them. A value's first occurrence
     * represents its key.
     */
-  final class Dictionary {
+  private final class Dictionary {
     private var keys = new Array[Long](16)
     private var slots = new Array[Int](16) // id + 1; 0 marks an empty slot
     private var distinct = new Array[Double](8)
     private var d = 0
-
-    /** The number of distinct values. */
-    def size: Int = d
-
-    /** The representative of id `k`. */
-    def value(k: Int): Double = distinct(k)
 
     /** The id of `x`, added if it is new. */
     def id(x: Double): Int = {

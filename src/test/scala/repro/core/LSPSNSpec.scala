@@ -48,7 +48,7 @@ class LSPSNSpec extends SparkSpec {
 
   test("each pair appears at most once per window") {
     for (w <- 1 to 5) {
-      val ps = ls.windowComparisons(w).map(_.pair)
+      val ps = ls.windowComparisons(w).map(_.pair).toSeq
       assert(ps.distinct.size === ps.size, s"window $w")
     }
   }
@@ -56,7 +56,7 @@ class LSPSNSpec extends SparkSpec {
   test("emission stream concatenates windows in order") {
     val w1 = ls.windowComparisons(1)
     val w2 = ls.windowComparisons(2)
-    assert(ls.emissions.take(w1.size + w2.size).toVector === w1 ++ w2)
+    assert(ls.emissions.take(w1.size + w2.size).toVector === (w1 ++ w2).toSeq)
   }
 
   test("matching pairs rank at the top of their window (fixture)") {
@@ -80,7 +80,7 @@ class LSPSNSpec extends SparkSpec {
       CleanCleanEr)
     val m = new LSPSN(cc, NeighborList.build(cc))
     for (w <- 1 to 4) {
-      val ps = m.windowComparisons(w).map(_.pair)
+      val ps = m.windowComparisons(w).map(_.pair).toSeq
       assert(ps.distinct.size === ps.size)
       ps.foreach { case (i, j) => assert(cc.source(i) != cc.source(j)) }
     }

@@ -99,8 +99,8 @@ class PropertySpec extends SparkSpec {
     }.toVector.sorted(BoxedReference.byDescendingWeight)
 
   /** Pairs and raw weight bits, so that -0.0 ≠ 0.0 and NaNs compare. */
-  private def exact(cs: Seq[Comparison]): Seq[(Int, Int, Long)] =
-    cs.map(c => (c.i, c.j, java.lang.Double.doubleToRawLongBits(c.weight)))
+  private def exact(cs: Iterable[Comparison]): Seq[(Int, Int, Long)] =
+    cs.toSeq.map(c => (c.i, c.j, java.lang.Double.doubleToRawLongBits(c.weight)))
 
   /** Distinct canonical pairs, each with a weight that ties, is a signed
     * zero, NaN or infinite more often than not.
@@ -110,23 +110,21 @@ class PropertySpec extends SparkSpec {
     weights <- Gen.listOfN(pairs.size, Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, 0.5, 1.0))
   } yield pairs.distinct.zip(weights).map { case ((i, j), w) => Comparison(i, j, w) }.toVector
 
-  /** The Comparison List of the first `n` (packed pair, weight) entries,
-    * built as one window-scan part; pairs must be distinct.
+  /** The Comparison List of the weighted pairs `cs`, cut into `parts`
+    * contiguous window-scan parts of about equal size. Each part is
+    * shuffled and grouped with spare capacity past its comparisons, as the
+    * window scan leaves it; pairs must be distinct.
     */
-  private def listOf(pairs: Array[Long], weights: Array[Double], n: Int): ComparisonList = {
-    val negatedWeights = new RankSort.Dictionary
-    val ids = Array.tabulate(n)(k => negatedWeights.id(-weights(k)))
-    ComparisonList.of(Seq(new ComparisonList.Part(pairs, ids, n, negatedWeights)))
-  }
+  private def listOf(cs: Seq[Comparison], parts: Int = 1): ComparisonList =
+    new ComparisonList((0 until parts).map { q =>
+      val slice = new scala.util.Random(q).shuffle(cs.slice(cs.size * q / parts, cs.size * (q + 1) / parts))
+      ComparisonList.part(slice.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L),
+        slice.map(c => -c.weight).toArray ++ Array(Double.NaN, -2.0), slice.size)
+    })
 
   test("the Comparison List sorts by descending weight in raw bits, signed zeros and NaN included") {
-    for (cs <- samples(weightedPairsGen, 200)) {
-      // spare capacity past n, as the window scan leaves it
-      val pairs = cs.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L)
-      val weights = cs.map(_.weight).toArray ++ Array(Double.NaN, 2.0)
-      val sorted = listOf(pairs, weights, cs.size)
-      assert(exact(sorted) === exact(cs.sorted(BoxedReference.byDescendingWeight)), cs)
-    }
+    for (cs <- samples(weightedPairsGen, 200))
+      assert(exact(listOf(cs)) === exact(cs.sorted(BoxedReference.byDescendingWeight)), cs)
   }
 
   /** Ties, signed zeros, NaN (canonical or not), infinities and
@@ -172,22 +170,11 @@ class PropertySpec extends SparkSpec {
     }
   }
 
-  /** The same Comparison List, freshly built (no run sorted yet), read in
-    * each of the ways a consumer can read it.
+  /** The same Comparison List read by one iterator, by two interleaved
+    * iterators and by four threads at once.
     */
-  private def everyReading(fresh: () => ComparisonList): Seq[(String, Seq[Comparison])] = {
-    val shuffled = {
-      val list = fresh()
-      val out = new Array[Comparison](list.length)
-      for (k <- new scala.util.Random(7).shuffle(list.indices.toVector)) out(k) = list(k)
-      out.toSeq
-    }
-    val reversed = {
-      val list = fresh()
-      list.indices.reverse.map(list(_)).reverse
-    }
+  private def everyReading(list: ComparisonList): Seq[(String, Seq[Comparison])] = {
     val interleaved = {
-      val list = fresh()
       val (a, b) = (list.iterator, list.iterator)
       val (outA, outB) = (Vector.newBuilder[Comparison], Vector.newBuilder[Comparison])
       while (a.hasNext) {
@@ -199,13 +186,12 @@ class PropertySpec extends SparkSpec {
       Seq(outA.result(), outB.result())
     }
     val concurrent = {
-      val list = fresh()
       val start = new java.util.concurrent.CountDownLatch(1)
       val read = Array.fill(4)(Vector.empty[Comparison])
       val threads = (0 until 4).map { t =>
         new Thread(() => {
           start.await()
-          read(t) = if (t % 2 == 0) list.iterator.toVector else list.indices.reverse.map(list(_)).reverse.toVector
+          read(t) = list.iterator.toVector
         })
       }
       threads.foreach(_.start())
@@ -213,7 +199,7 @@ class PropertySpec extends SparkSpec {
       threads.foreach(_.join())
       read.toSeq
     }
-    Seq("apply, shuffled" -> shuffled, "apply, reversed" -> reversed, "iterator" -> fresh().iterator.toVector) ++
+    Seq("iterator" -> list.iterator.toVector) ++
       interleaved.map("interleaved iterators" -> _) ++ concurrent.map("concurrent readers" -> _)
   }
 
@@ -221,14 +207,15 @@ class PropertySpec extends SparkSpec {
     val allDistinct = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, k * 0.37))
     val oneWeight = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, 0.5))
     val manyRuns = (0 until 3000).map(k => Comparison(k / 60, 60 + k % 60, ((k * 7919) % 13) / 4.0))
-    val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns)
-    for (cs <- inputs) {
-      val shuffled = new scala.util.Random(cs.size).shuffle(cs)
-      val fresh = () => listOf(
-        shuffled.map(c => c.i.toLong << 32 | c.j).toArray, shuffled.map(_.weight).toArray, cs.size)
+    // equal weights, signed zeros and NaN on both sides of every border of a cut into 2, 3 or 7 parts
+    val borders = (0 until 12).map(k => Comparison(k, 12 + k, Seq(0.0, -0.0, Double.NaN, 0.5)(k % 4)))
+    val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns, borders)
+    for (cs <- inputs; parts <- Seq(1, 2, 3, 7, cs.size + 1)) {
       val expected = exact(cs.sorted(BoxedReference.byDescendingWeight))
-      for ((how, read) <- everyReading(fresh))
-        assert(exact(read) === expected, s"$how, n=${cs.size}")
+      val list = listOf(cs, parts)
+      assert(list.size === cs.size)
+      for ((how, read) <- everyReading(list))
+        assert(exact(read) === expected, s"$how, n=${cs.size}, parts=$parts")
     }
   }
 
@@ -305,8 +292,11 @@ class PropertySpec extends SparkSpec {
       9999999, 10000000, 99999999, 100000000, 999999999, 1000000000, Int.MaxValue - 1, Int.MaxValue)
     for (key <- keys) {
       val state = NeighborList.tieState(key)
-      for (id <- ids)
-        assert(NeighborList.streamedTie(state, id) === NeighborList.tie(key, id), (key, id))
+      for (id <- ids) {
+        val expected = scala.util.hashing.MurmurHash3.stringHash(s"$key#$id", 42)
+        assert(NeighborList.streamedTie(state, id) === expected, (key, id))
+        assert(NeighborList.tie(key, id) === expected, (key, id))
+      }
     }
   }
 
