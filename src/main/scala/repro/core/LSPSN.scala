@@ -15,9 +15,13 @@ import scala.collection.{AbstractIterator, immutable}
   * holds it into its own buffer and sorts it, so a consumer that reads
   * only the top weights never pays for sorting the rest. Iterators share
   * only immutable arrays.
+  *
+  * A band of the list (`WindowScan.bands`) reads only the negated weights
+  * up to `bound` in `Double.compare` order; NaN, the default, reads them all.
   */
-final class ComparisonList private[core] (parts: IndexedSeq[ComparisonList.Part])
-    extends immutable.Iterable[Comparison] {
+final class ComparisonList private[core] (
+    parts: IndexedSeq[ComparisonList.Part],
+    private[core] val bound: Double = Double.NaN) extends immutable.Iterable[Comparison] {
 
   override val size: Int = parts.map(_.pairs.length).sum
 
@@ -41,7 +45,7 @@ final class ComparisonList private[core] (parts: IndexedSeq[ComparisonList.Part]
 
     /** Reads the smallest negated weight of the parts' next runs, the first
       * part's value on a tie, and gathers and sorts its pairs from every
-      * part; false when every part is read.
+      * part; false when every part is read or the weight is past `bound`.
       */
     private def gather(): Boolean = {
       var min = Double.NaN
@@ -55,6 +59,7 @@ final class ComparisonList private[core] (parts: IndexedSeq[ComparisonList.Part]
         }
         q += 1
       }
+      if (found && java.lang.Double.compare(min, bound) > 0) found = false
       if (found) {
         n = 0
         k = 0
@@ -103,15 +108,148 @@ object ComparisonList {
 }
 
 /** The window scan of the weighted Neighbor List methods (Algorithm 1,
-  * Sec. 5.1), shared by LS-PSN (one window size) and GS-PSN (the range
-  * `[1, w_max]`).
+  * Sec. 5.1) over the window sizes `[wLo, wHi]`, shared by LS-PSN (one
+  * window size) and GS-PSN (the range `[1, w_max]`): the profiles `ids`
+  * (`pc.source1Ids`) cut into the ranges `bounds`, scanned in parallel.
+  * Every pair is found in one range only, and the list orders the pairs
+  * totally, so the cut does not change the list. Each thread counts in its
+  * own `Counts`, made once.
   */
+private[core] final class WindowScan(pc: ProfileCollection, nl: NeighborList, view: WindowScan.PartnerView,
+    wLo: Int, wHi: Int, ids: Array[Int], bounds: Array[Int]) {
+  import WindowScan._
+
+  /** The band `(after, keep)` of the sorted Comparison List; the whole list
+    * by default. Every range keeps its best `keep` negated weights above
+    * `after`, ties included, and returns them with τ (see `scan`). The band
+    * reads up to T, the smallest τ: every pair at T or better was kept by
+    * its range, so the band is exact.
+    */
+  def comparisons(after: Double = Double.NegativeInfinity, keep: Int = Int.MaxValue): ComparisonList = {
+    val parts = ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
+      scan(bounds(q), bounds(q + 1), after, keep, counts)
+    }
+    new ComparisonList(parts.map(_._1), parts.foldLeft(Double.PositiveInfinity)((t, p) => math.min(t, p._2)))
+  }
+
+  /** The sorted Comparison List read band by band: the first band keeps
+    * `keep` pairs a range, and each next one rescans for the weights after
+    * the last one read, with `keep` doubled. A band read up to +∞ held every
+    * pair left, and ends the stream.
+    */
+  def bands(keep: Int): Iterator[Comparison] =
+    Iterator.unfold((Double.NegativeInfinity, keep)) { case (after, b) =>
+      if (after == Double.PositiveInfinity) None
+      else {
+        val band = comparisons(after, b)
+        Some((band.iterator, (band.bound, math.min(Int.MaxValue.toLong, 2L * b).toInt)))
+      }
+    }.flatten
+
+  /** The comparisons of the profiles `ids(from until until)`.
+    *
+    * The outer loop runs over all profiles for Dirty ER and only the P1 side
+    * for Clean-clean ER (Sec. 5.1.1). For each profile `i` it counts, over
+    * both directions from every position `pos` of `i` (Algorithm 1 lines
+    * 8–16), how often each neighbor in `view` co-occurs with it: the two
+    * slices of `view.ids` at positions `[pos - wHi, pos - wLo]` and
+    * `[pos + wLo, pos + wHi]`, clipped to the list. Clean-clean ER thus visits
+    * only partners on the other source. Dirty ER visits every entry, `i`
+    * itself included, and counts a neighbor only if `j < i`, so every pair
+    * is counted from its larger id only.
+    *
+    * The counts live in the thread's `counts`: one dense array plus the list
+    * of neighbors touched, reset after each profile. The counting loop has
+    * no data-dependent branch: every step writes its id to the next free
+    * slot of `touched` and moves past it only on the first touch of a kept
+    * id. Every touched neighbor is weighted with RCF (lines 17–19); the
+    * frequencies are summed over `wHi - wLo + 1` window sizes.
+    *
+    * A pair is kept only if its negated weight is above `after` and at most
+    * τ (+∞ at first). At `2·keep` pairs, τ becomes their `keep`-th smallest
+    * negated weight and the pairs past τ are dropped; ties at τ stay.
+    */
+  private def scan(from: Int, until: Int, after: Double, keep: Int, counts: Counts): (ComparisonList.Part, Double) = {
+    val windows = wHi - wLo + 1
+    val dirty = pc.erType == DirtyEr
+    val size = nl.size.toLong
+    val count = counts.count
+    val touched = counts.touched
+    var placements = 0L
+    var x = from
+    while (x < until) { placements += nl.positionsOf(ids(x)).length; x += 1 }
+    // At most one pair per (position, window size, direction).
+    val bound = math.min(Int.MaxValue - 8L, 2 * placements * windows).toInt
+    var pairs = new Array[Long](math.min(bound.toLong, math.max(16L, placements)).toInt)
+    var negated = new Array[Double](pairs.length)
+    var n = 0
+    var tau = Double.PositiveInfinity
+    var fill = 2L * keep // ties kept at τ can hold more: then twice those
+    // The slice bound of Neighbor List position p, clipped to [0, |NL|].
+    def at(p: Long): Int = view.before(math.max(0L, math.min(size, p)).toInt)
+    x = from
+    while (x < until) {
+      val i = ids(x)
+      val limit = if (dirty) i else Int.MaxValue
+      val positions = nl.positionsOf(i)
+      var nt = 0
+      var pi = 0
+      while (pi < positions.length) {
+        val pos = positions(pi).toLong
+        nt = tally(view.ids, at(pos - wHi), at(pos - wLo + 1), limit, count, touched, nt)
+        nt = tally(view.ids, at(pos + wLo), at(pos + wHi + 1), limit, count, touched, nt)
+        pi += 1
+      }
+      if (n + nt > pairs.length) {
+        val cap = math.min(bound.toLong, math.max(n + nt, pairs.length * 2L)).toInt
+        pairs = Arrays.copyOf(pairs, cap)
+        negated = Arrays.copyOf(negated, cap)
+      }
+      val lenI = positions.length
+      var t = 0
+      while (t < nt) {
+        val j = touched(t)
+        val w = -Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows)
+        if (w > after && w <= tau) {
+          pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
+          negated(n) = w
+          n += 1
+        }
+        count(j) = 0
+        t += 1
+      }
+      if (n >= fill) {
+        tau = select(Arrays.copyOf(negated, n), keep - 1)
+        var kept = 0
+        t = 0
+        while (t < n) {
+          if (negated(t) <= tau) { pairs(kept) = pairs(t); negated(kept) = negated(t); kept += 1 }
+          t += 1
+        }
+        n = kept
+        fill = math.max(2L * keep, 2L * n)
+      }
+      x += 1
+    }
+    (ComparisonList.part(pairs, negated, n), tau)
+  }
+}
+
 private[core] object WindowScan {
 
   /** Placement-window steps below which a range is not worth a task of its
     * own.
     */
   private val MinWork = 1L << 15
+
+  /** The scan of windows `[wLo, wHi]` with `pc.source1Ids` cut into ranges
+    * of about equal placement-window steps (`ForkJoin.ranges`).
+    */
+  def apply(pc: ProfileCollection, nl: NeighborList, view: PartnerView, wLo: Int, wHi: Int): WindowScan = {
+    val ids = pc.source1Ids.toArray
+    new WindowScan(pc, nl, view, wLo, wHi, ids,
+      ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * (wHi - wLo + 1L)))
+  }
 
   /** The Neighbor List as the scan counts it: the ids it counts, in
     * position order, and `before(pos)`, the number of those ids at positions
@@ -147,33 +285,6 @@ private[core] object WindowScan {
       }
   }
 
-  /** The sorted Comparison List of the window sizes `[wLo, wHi]`, scanned in
-    * the ranges of profiles `ForkJoin.ranges` cuts.
-    */
-  def comparisons(pc: ProfileCollection, nl: NeighborList, view: PartnerView, wLo: Int, wHi: Int): ComparisonList = {
-    val ids = pc.source1Ids.toArray
-    val windows = (wHi - wLo + 1).toLong
-    comparisons(pc, nl, view, wLo, wHi, ids,
-      ForkJoin.ranges(ids.length, MinWork)(x => nl.positionsOf(ids(x)).length * windows))
-  }
-
-  /** The same list, with the profiles `ids` (`pc.source1Ids`) cut into the
-    * ranges `bounds`, scanned in parallel. Every pair is found in one range
-    * only, and the list orders the pairs totally, so the cut does not change
-    * the list. Each thread counts in its own `Counts`, made once.
-    */
-  private[core] def comparisons(
-      pc: ProfileCollection,
-      nl: NeighborList,
-      view: PartnerView,
-      wLo: Int,
-      wHi: Int,
-      ids: Array[Int],
-      bounds: Array[Int]): ComparisonList =
-    new ComparisonList(ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
-      scan(pc, nl, view, ids, bounds(q), bounds(q + 1), wLo, wHi, counts)
-    })
-
   /** A dense count per profile and the list of the profiles touched, of
     * one thread. Every count is 0 between two profiles of a scan.
     */
@@ -184,84 +295,24 @@ private[core] object WindowScan {
     val touched = new Array[Int](size + 1)
   }
 
-  /** The comparisons of the profiles `ids(from until until)`.
-    *
-    * The outer loop runs over all profiles for Dirty ER and only the P1 side
-    * for Clean-clean ER (Sec. 5.1.1). For each profile `i` it counts, over
-    * both directions from every position `pos` of `i` (Algorithm 1 lines
-    * 8–16), how often each neighbor in `view` co-occurs with it: the two
-    * slices of `view.ids` at positions `[pos - wHi, pos - wLo]` and
-    * `[pos + wLo, pos + wHi]`, clipped to the list. Clean-clean ER thus visits
-    * only partners on the other source. Dirty ER visits every entry, `i`
-    * itself included, and counts a neighbor only if `j < i`, so every pair
-    * is counted from its larger id only. The view of
-    * Clean-clean ER costs 4 bytes per Neighbor List position plus 4 per
-    * partner placement: GS-PSN builds it for its one scan, LS-PSN once for
-    * all its windows. Dirty ER's view is the Neighbor List itself.
-    *
-    * The counts live in the thread's `counts`: one dense array plus the list
-    * of neighbors touched, reset after each profile. The counting loop has
-    * no data-dependent branch: every step writes its id to the next free
-    * slot of `touched` and moves past it only on the first touch of a kept
-    * id. Every touched neighbor is weighted with RCF (lines 17–19); the
-    * frequencies are summed over `wHi - wLo + 1` window sizes.
+  /** The `k`-th smallest of the finite `xs` (from 0), reordering `xs`:
+    * Hoare's selection, which splits runs of equal values evenly.
     */
-  private def scan(
-      pc: ProfileCollection,
-      nl: NeighborList,
-      view: PartnerView,
-      ids: Array[Int],
-      from: Int,
-      until: Int,
-      wLo: Int,
-      wHi: Int,
-      counts: Counts): ComparisonList.Part = {
-    val windows = wHi - wLo + 1
-    val dirty = pc.erType == DirtyEr
-    val size = nl.size.toLong
-    val count = counts.count
-    val touched = counts.touched
-    var placements = 0L
-    var x = from
-    while (x < until) { placements += nl.positionsOf(ids(x)).length; x += 1 }
-    // At most one pair per (position, window size, direction).
-    val bound = math.min(Int.MaxValue - 8L, 2 * placements * windows).toInt
-    var pairs = new Array[Long](math.min(bound.toLong, math.max(16L, placements)).toInt)
-    var negated = new Array[Double](pairs.length)
-    var n = 0
-    // The slice bound of Neighbor List position p, clipped to [0, |NL|].
-    def at(p: Long): Int = view.before(math.max(0L, math.min(size, p)).toInt)
-    x = from
-    while (x < until) {
-      val i = ids(x)
-      val limit = if (dirty) i else Int.MaxValue
-      val positions = nl.positionsOf(i)
-      var nt = 0
-      var pi = 0
-      while (pi < positions.length) {
-        val pos = positions(pi).toLong
-        nt = tally(view.ids, at(pos - wHi), at(pos - wLo + 1), limit, count, touched, nt)
-        nt = tally(view.ids, at(pos + wLo), at(pos + wHi + 1), limit, count, touched, nt)
-        pi += 1
+  private def select(xs: Array[Double], k: Int): Double = {
+    var lo = 0
+    var hi = xs.length - 1
+    while (lo < hi) {
+      val pivot = xs((lo + hi) >>> 1)
+      var a = lo
+      var b = hi
+      while (a <= b) {
+        while (xs(a) < pivot) a += 1
+        while (xs(b) > pivot) b -= 1
+        if (a <= b) { val s = xs(a); xs(a) = xs(b); xs(b) = s; a += 1; b -= 1 }
       }
-      if (n + nt > pairs.length) {
-        val cap = math.min(bound.toLong, math.max(n + nt, pairs.length * 2L)).toInt
-        pairs = Arrays.copyOf(pairs, cap)
-        negated = Arrays.copyOf(negated, cap)
-      }
-      val lenI = positions.length
-      var t = 0
-      while (t < nt) {
-        val j = touched(t)
-        pairs(n) = if (i < j) i.toLong << 32 | j else j.toLong << 32 | i
-        negated(n) = -Rcf.weight(count(j), lenI, nl.positionsOf(j).length, windows)
-        n += 1
-        count(j) = 0
-        t += 1
-      }
-      x += 1
+      if (k <= b) hi = b else if (k >= a) lo = a else return xs(k)
     }
-    ComparisonList.part(pairs, negated, n)
+    xs(k)
   }
 
   /** Counts every id below `limit` of `ids(from until until)` in `count`,
@@ -270,13 +321,7 @@ private[core] object WindowScan {
     * to slot `nt` and moves past it only on the first touch of a kept id,
     * with no branch.
     */
-  private def tally(
-      ids: Array[Int],
-      from: Int,
-      until: Int,
-      limit: Int,
-      count: Array[Int],
-      touched: Array[Int],
+  private def tally(ids: Array[Int], from: Int, until: Int, limit: Int, count: Array[Int], touched: Array[Int],
       nt: Int): Int = {
     var t = nt
     var s = from
@@ -310,8 +355,8 @@ final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMe
     */
   private lazy val view = WindowScan.PartnerView(pc, nl)
 
-  /** The sorted Comparison List of one window size (Algorithm 1 for w). */
-  def windowComparisons(w: Int): ComparisonList = WindowScan.comparisons(pc, nl, view, w, w)
+  /** The sorted Comparison List of one window size (Algorithm 1 for w): one unbounded band. */
+  def windowComparisons(w: Int): ComparisonList = WindowScan(pc, nl, view, w, w).comparisons()
 
   def emissions: Iterator[Comparison] =
     Iterator.from(1).takeWhile(_ < nl.size).flatMap(w => windowComparisons(w).iterator)
@@ -328,12 +373,13 @@ final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMe
   * Comparison List had to be limited to the available memory (80 GB), which
   * truncated its window range and capped its final recall below 20 %. Since
   * every window contributes up to |NL| comparisons, a budget of `c` stored
-  * comparisons bounds the usable window range to ~`c / |NL|`. The list is a
-  * packed `ComparisonList`, 8 bytes a stored comparison, so `c` stored
-  * comparisons take ~8·`c` bytes of heap; while it is built, a scan range
-  * holds at most 32 bytes a comparison (pair and negated weight, then rank,
-  * grouped index and grouped pair), and an iterator holds the pairs of the
-  * weight it reads.
+  * comparisons bounds the usable window range to ~`c / |NL|`. That budget
+  * only emulates the paper: the stream never holds the list. It reads the
+  * list in bands (`WindowScan.bands`), the first keeping |P| pairs a scan
+  * range, so its peak is the largest band read: about ranges × 2B × 16
+  * bytes while a band of B pairs a range is scanned, then its survivors
+  * grouped at 8 bytes a pair. `globalComparisons()` holds the whole packed
+  * list, 8 bytes a stored comparison.
   *
   * @param wMax the largest window size, at least 1
   */
@@ -350,8 +396,12 @@ final class GSPSN(
     math.min(wMax.toLong, math.max(1L, maxComparisons / math.max(1, nl.size))).toInt
 
   /** The single, global Comparison List over windows `[1, effectiveWMax]`. */
-  def globalComparisons(): ComparisonList =
-    WindowScan.comparisons(pc, nl, WindowScan.PartnerView(pc, nl), 1, effectiveWMax)
+  def globalComparisons(): ComparisonList = scan.comparisons()
 
-  def emissions: Iterator[Comparison] = globalComparisons().iterator
+  /** The global list read band by band, the first keeping |P| pairs a range. */
+  def emissions: Iterator[Comparison] = emissions(math.max(1, pc.size))
+
+  private[core] def emissions(keep: Int): Iterator[Comparison] = scan.bands(keep)
+
+  private def scan = WindowScan(pc, nl, WindowScan.PartnerView(pc, nl), 1, effectiveWMax)
 }

@@ -224,8 +224,8 @@ class PropertySpec extends SparkSpec {
     */
   private def cutScan(pc: ProfileCollection, nl: NeighborList, wLo: Int, wHi: Int, ranges: Int): ComparisonList = {
     val ids = pc.source1Ids.toArray
-    WindowScan.comparisons(pc, nl, WindowScan.PartnerView(pc, nl), wLo, wHi, ids,
-      ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
+    new WindowScan(pc, nl, WindowScan.PartnerView(pc, nl), wLo, wHi, ids,
+      ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong)).comparisons()
   }
 
   test("the window scan equals the reference scan for any cut into ranges") {
@@ -246,6 +246,50 @@ class PropertySpec extends SparkSpec {
         assert(exact(ls.windowComparisons(w)) === exact(referenceScan(pc, nl, w, w)),
           s"${pc.erType} |P|=${pc.size} w=$w")
     }
+  }
+
+  test("LS-PSN's stream is the reference scan's windows 1, 2, 3, ... concatenated") {
+    for (pc <- anyCollections) {
+      val nl = NeighborList.build(pc)
+      val windows = (1 until nl.size).flatMap(w => exact(referenceScan(pc, nl, w, w)))
+      assert(exact(new LSPSN(pc, nl).emissions.toVector) === windows, s"${pc.erType} |P|=${pc.size}")
+    }
+  }
+
+  /** Profiles that share identical token sets, in both ER types: with a
+    * wide window their pairs tie, in runs longer than a small band.
+    */
+  private val tiedCollections: Seq[ProfileCollection] =
+    for (er <- Seq(DirtyEr, CleanCleanEr)) yield ProfileCollection(
+      Vector.tabulate(14) { i =>
+        val tokens = if (i % 5 == 4) "alpha delta" else "alpha beta gamma"
+        Profile(i, if (er == DirtyEr) 0 else 1 + i % 2, Vector("v" -> tokens))
+      },
+      er)
+
+  test("GS-PSN's banded stream equals the reference scan for any band size, cut and wMax") {
+    var straddles = 0
+    for (pc <- blockingCollections ++ noTokenCollections ++ tiedCollections) {
+      val nl = NeighborList.build(pc)
+      val view = WindowScan.PartnerView(pc, nl)
+      val ids = pc.source1Ids.toArray
+      for (wMax <- Seq(1, 2, 5, nl.size, nl.size + 3).filter(_ >= 1).distinct) {
+        val expected = exact(referenceScan(pc, nl, 1, wMax))
+        for (keep <- Seq(1, 2, 3, pc.size).filter(_ >= 1).distinct) {
+          val clue = s"${pc.erType} |P|=${pc.size} wMax=$wMax B=$keep"
+          assert(exact(new GSPSN(pc, nl, wMax).emissions(keep).toVector) === expected, clue)
+          for (ranges <- Seq(1, 2, 3, 7, ids.length).filter(_ >= 1).distinct) {
+            val bounds = ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong)
+            assert(exact(new WindowScan(pc, nl, view, 1, wMax, ids, bounds).bands(keep).toVector) === expected,
+              s"$clue ranges=$ranges")
+          }
+          // a weight's run crosses the first band's border at B
+          if (tiedCollections.contains(pc) && expected.size > keep && expected(keep - 1)._3 == expected(keep)._3)
+            straddles += 1
+        }
+      }
+    }
+    assert(straddles > 0)
   }
 
   test("GS-PSN lists equal the reference scan, wMax up to and beyond |NL|") {
@@ -674,15 +718,18 @@ class PropertySpec extends SparkSpec {
     }
   }
 
-  test("every method of Experiments.method emits an empty or valid stream on degenerate collections") {
-    // profiles with no tokens, single-source Clean-clean ER and |P| ≤ 1; the
-    // ground truth is only there to build the dataset, no metric reads it
-    val noTokens = for (er <- Seq(DirtyEr, CleanCleanEr)) yield ProfileCollection(
+  /** Two profiles with no tokens, in both ER types. */
+  private val noTokenCollections: Seq[ProfileCollection] =
+    for (er <- Seq(DirtyEr, CleanCleanEr)) yield ProfileCollection(
       Vector("", "?! ;").zipWithIndex.map { case (v, i) =>
         Profile(i, if (er == DirtyEr) 0 else i + 1, Vector("v" -> v))
       },
       er)
-    for (pc <- blockingCollections ++ noTokens) {
+
+  test("every method of Experiments.method emits an empty or valid stream on degenerate collections") {
+    // profiles with no tokens, single-source Clean-clean ER and |P| ≤ 1; the
+    // ground truth is only there to build the dataset, no metric reads it
+    for (pc <- blockingCollections ++ noTokenCollections) {
       val ds = repro.eval.ErDataset("degenerate", pc, GroundTruth(Set.empty), psnKey = Some(_.text))
       for (name <- repro.eval.Experiments.aucMethods(ds)) {
         val clue = s"$name ${pc.erType} |P|=${pc.size}"
