@@ -4,106 +4,49 @@ import java.util.Arrays
 import scala.collection.{AbstractIterator, immutable}
 
 /** A sorted Comparison List of LS-PSN / GS-PSN in 8 bytes a stored
-  * comparison (against ~40 for a boxed `Comparison` and its reference): the
-  * window scan's ranges as they return, each with its canonical pairs
-  * packed as `i << 32 | j` and grouped into one run per distinct weight.
-  * A `Comparison` is built only when an element is read.
+  * comparison (against ~40 for a boxed `Comparison` and its reference): its
+  * canonical pairs packed as `i << 32 | j` and grouped into one run per
+  * distinct weight. Run `r` is `pairs(start(r) until start(r + 1))`, of the
+  * negated weight `negated(r)`; the negated weights are distinct and
+  * ascending in `java.lang.Double.compare` order. Descending weight is
+  * ascending negated weight; -(-w) restores w bit for bit.
   *
-  * The order is descending weight in `java.lang.Double.compare` order,
-  * then ascending (i, j). Every iterator merges the ranges on read: it
-  * takes the next weight, gathers that weight's run from every range that
-  * holds it into its own buffer and sorts it, so a consumer that reads
-  * only the top weights never pays for sorting the rest. Iterators share
-  * only immutable arrays.
-  *
-  * A band of the list (`WindowScan.bands`) reads only the negated weights
-  * up to `bound` in `Double.compare` order; NaN, the default, reads them all.
+  * The order is descending weight, then ascending (i, j). Every iterator
+  * walks the runs in order and sorts each run into its own buffer when it
+  * first reaches it, so a consumer that reads only the top weights never
+  * pays for sorting the rest. Iterators share only immutable arrays, and a
+  * `Comparison` is built only when an element is read.
   */
-final class ComparisonList private[core] (
-    parts: IndexedSeq[ComparisonList.Part],
-    private[core] val bound: Double = Double.NaN) extends immutable.Iterable[Comparison] {
+final class ComparisonList private[core] (pairs: Array[Long], start: Array[Int], negated: Array[Double])
+    extends immutable.Iterable[Comparison] {
 
-  override val size: Int = parts.map(_.pairs.length).sum
+  override def size: Int = pairs.length
 
   override def knownSize: Int = size
 
   override def iterator: Iterator[Comparison] = new AbstractIterator[Comparison] {
-    private val runOf = new Array[Int](parts.length) // every part's next run
-    private var run = new Array[Long](16) // the pairs of the weight being read
-    private var n = 0
-    private var k = 0
-    private var weight = 0.0
+    private var r = 0 // the next run to sort
+    private var run = new Array[Long](16) // the sorted pairs of run r - 1
+    private var n, k = 0 // run(k until n) is left to read
 
-    def hasNext: Boolean = k < n || gather()
+    def hasNext: Boolean = {
+      while (k == n && r < negated.length) {
+        n = start(r + 1) - start(r)
+        if (n > run.length) run = new Array[Long](math.max(n, 2 * run.length))
+        System.arraycopy(pairs, start(r), run, 0, n)
+        Arrays.sort(run, 0, n)
+        k = 0
+        r += 1
+      }
+      k < n
+    }
 
     def next(): Comparison = {
       if (!hasNext) throw new NoSuchElementException("next on an exhausted Comparison List")
       val p = run(k)
       k += 1
-      Comparison((p >>> 32).toInt, p.toInt, weight)
+      Comparison((p >>> 32).toInt, p.toInt, -negated(r - 1))
     }
-
-    /** Reads the smallest negated weight of the parts' next runs, the first
-      * part's value on a tie, and gathers and sorts its pairs from every
-      * part; false when every part is read or the weight is past `bound`.
-      */
-    private def gather(): Boolean = {
-      var min = Double.NaN
-      var found = false
-      var q = 0
-      while (q < parts.length) {
-        val p = parts(q)
-        if (runOf(q) < p.negated.length && (!found || java.lang.Double.compare(p.negated(runOf(q)), min) < 0)) {
-          min = p.negated(runOf(q))
-          found = true
-        }
-        q += 1
-      }
-      if (found && java.lang.Double.compare(min, bound) > 0) found = false
-      if (found) {
-        n = 0
-        k = 0
-        q = 0
-        while (q < parts.length) {
-          val p = parts(q)
-          val r = runOf(q)
-          if (r < p.negated.length && java.lang.Double.compare(p.negated(r), min) == 0) {
-            val length = p.start(r + 1) - p.start(r)
-            if (n + length > run.length) run = Arrays.copyOf(run, math.max(n + length, 2 * run.length))
-            System.arraycopy(p.pairs, p.start(r), run, n, length)
-            n += length
-            runOf(q) = r + 1
-          }
-          q += 1
-        }
-        Arrays.sort(run, 0, n)
-        weight = -min
-      }
-      found
-    }
-  }
-}
-
-object ComparisonList {
-
-  /** The comparisons of one window-scan range, grouped by weight: run `r`
-    * is `pairs(start(r) until start(r + 1))`, of the negated weight
-    * `negated(r)`; the negated weights are distinct and ascending in
-    * `Double.compare` order. Descending weight is ascending negated
-    * weight; -(-w) restores w bit for bit.
-    */
-  private[core] final class Part(val pairs: Array[Long], val start: Array[Int], val negated: Array[Double])
-
-  /** The first `n` packed pairs grouped by their negated weights, the
-    * first occurrence of a weight representing it.
-    */
-  private[core] def part(pairs: Array[Long], negated: Array[Double], n: Int): Part = {
-    val (ranks, distinct) = RankSort.rank(negated, n)
-    val (order, start) = RankSort.group(ranks, distinct.length)
-    val grouped = new Array[Long](n)
-    var t = 0
-    while (t < n) { grouped(t) = pairs(order(t)); t += 1 }
-    new Part(grouped, start, distinct)
   }
 }
 
@@ -119,18 +62,8 @@ private[core] final class WindowScan(pc: ProfileCollection, nl: NeighborList, vi
     wLo: Int, wHi: Int, ids: Array[Int], bounds: Array[Int]) {
   import WindowScan._
 
-  /** The band `(after, keep)` of the sorted Comparison List; the whole list
-    * by default. Every range keeps its best `keep` negated weights above
-    * `after`, ties included, and returns them with τ (see `scan`). The band
-    * reads up to T, the smallest τ: every pair at T or better was kept by
-    * its range, so the band is exact.
-    */
-  def comparisons(after: Double = Double.NegativeInfinity, keep: Int = Int.MaxValue): ComparisonList = {
-    val parts = ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
-      scan(bounds(q), bounds(q + 1), after, keep, counts)
-    }
-    new ComparisonList(parts.map(_._1), parts.foldLeft(Double.PositiveInfinity)((t, p) => math.min(t, p._2)))
-  }
+  /** The whole sorted Comparison List: one unbounded band. */
+  def comparisons(): ComparisonList = band(Double.NegativeInfinity, Int.MaxValue)._1
 
   /** The sorted Comparison List read band by band: the first band keeps
     * `keep` pairs a range, and each next one rescans for the weights after
@@ -139,14 +72,46 @@ private[core] final class WindowScan(pc: ProfileCollection, nl: NeighborList, vi
     */
   def bands(keep: Int): Iterator[Comparison] =
     Iterator.unfold((Double.NegativeInfinity, keep)) { case (after, b) =>
-      if (after == Double.PositiveInfinity) None
-      else {
-        val band = comparisons(after, b)
-        Some((band.iterator, (band.bound, math.min(Int.MaxValue.toLong, 2L * b).toInt)))
+      Option.when(after != Double.PositiveInfinity) {
+        val (list, last) = band(after, b)
+        (list.iterator, (last, math.min(Int.MaxValue.toLong, 2L * b).toInt))
       }
     }.flatten
 
-  /** The comparisons of the profiles `ids(from until until)`.
+  /** The band `(after, keep)` of the sorted Comparison List, and T, the last
+    * negated weight it holds. Every range keeps its best `keep` negated
+    * weights above `after`, ties included, and returns them with τ (see
+    * `scan`). T is the smallest τ: every pair at T or better was kept by its
+    * range, so the band is exact. The survivors are ranked by negated weight
+    * once (the first occurrence of a weight represents it), and grouped once
+    * with the ranks past T dropped, so the band stores only what it reads.
+    */
+  private[core] def band(after: Double, keep: Int): (ComparisonList, Double) = {
+    val ranges = ForkJoin.all(bounds.length - 1, () => new Counts(pc.size)) { (counts, q) =>
+      scan(bounds(q), bounds(q + 1), after, keep, counts)
+    }
+    val n = ranges.map(_.n).sum
+    val pairs = new Array[Long](n)
+    val negated = new Array[Double](n)
+    var at = 0
+    for (s <- ranges) {
+      System.arraycopy(s.pairs, 0, pairs, at, s.n)
+      System.arraycopy(s.negated, 0, negated, at, s.n)
+      at += s.n
+    }
+    val last = ranges.foldLeft(Double.PositiveInfinity)((t, s) => math.min(t, s.tau))
+    val (ranks, distinct) = RankSort.rank(negated, n)
+    val found = Arrays.binarySearch(distinct, last)
+    val runs = if (found >= 0) found + 1 else -found - 1 // the distinct weights up to T
+    val (order, start) = RankSort.group(ranks, runs)
+    val grouped = new Array[Long](order.length)
+    var t = 0
+    while (t < order.length) { grouped(t) = pairs(order(t)); t += 1 }
+    (new ComparisonList(grouped, start, Arrays.copyOf(distinct, runs)), last)
+  }
+
+  /** The comparisons of the profiles `ids(from until until)` that survive
+    * the band `(after, keep)`, unsorted, and τ.
     *
     * The outer loop runs over all profiles for Dirty ER and only the P1 side
     * for Clean-clean ER (Sec. 5.1.1). For each profile `i` it counts, over
@@ -169,7 +134,7 @@ private[core] final class WindowScan(pc: ProfileCollection, nl: NeighborList, vi
     * τ (+∞ at first). At `2·keep` pairs, τ becomes their `keep`-th smallest
     * negated weight and the pairs past τ are dropped; ties at τ stay.
     */
-  private def scan(from: Int, until: Int, after: Double, keep: Int, counts: Counts): (ComparisonList.Part, Double) = {
+  private def scan(from: Int, until: Int, after: Double, keep: Int, counts: Counts): Survivors = {
     val windows = wHi - wLo + 1
     val dirty = pc.erType == DirtyEr
     val size = nl.size.toLong
@@ -231,7 +196,7 @@ private[core] final class WindowScan(pc: ProfileCollection, nl: NeighborList, vi
       }
       x += 1
     }
-    (ComparisonList.part(pairs, negated, n), tau)
+    new Survivors(pairs, negated, n, tau)
   }
 }
 
@@ -241,6 +206,9 @@ private[core] object WindowScan {
     * own.
     */
   private val MinWork = 1L << 15
+
+  /** A range's survivors: the first `n` packed pairs and negated weights, and τ. */
+  private final class Survivors(val pairs: Array[Long], val negated: Array[Double], val n: Int, val tau: Double)
 
   /** The scan of windows `[wLo, wHi]` with `pc.source1Ids` cut into ranges
     * of about equal placement-window steps (`ForkJoin.ranges`).
@@ -377,9 +345,10 @@ final class LSPSN(pc: ProfileCollection, nl: NeighborList) extends ProgressiveMe
   * only emulates the paper: the stream never holds the list. It reads the
   * list in bands (`WindowScan.bands`), the first keeping |P| pairs a scan
   * range, so its peak is the largest band read: about ranges × 2B × 16
-  * bytes while a band of B pairs a range is scanned, then its survivors
-  * grouped at 8 bytes a pair. `globalComparisons()` holds the whole packed
-  * list, 8 bytes a stored comparison.
+  * bytes while a band of B pairs a range is scanned, as much again to join
+  * the survivors and 16 bytes a survivor to rank and group them; the band
+  * keeps only the pairs it reads, at 8 bytes a pair. `globalComparisons()`
+  * holds the whole packed list, 8 bytes a stored comparison.
   *
   * @param wMax the largest window size, at least 1
   */

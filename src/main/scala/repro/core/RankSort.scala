@@ -7,8 +7,8 @@ import java.util.Arrays
   * `group` groups elements under primitive keys, stably: no comparator, so
   * the result is fully determined by the input. It groups the Neighbor
   * List and its Position Index, the blocks of `TokenIndex.blocks`, the
-  * cardinality order of blocks, the pairs of every window-scan range by
-  * weight (`ComparisonList.part`) and the descending order of PBS's and
+  * cardinality order of blocks, the pairs of every Comparison List band by
+  * weight (`ComparisonList.apply`) and the descending order of PBS's and
   * PPS's comparisons and of the PPS Sorted Profile List (`descending`).
   * Per-profile block lists do not go through it: `Block.blockLists` fills
   * them directly. A key that orders by a `Double` or a `Long` is ranked
@@ -20,7 +20,7 @@ private[repro] object RankSort {
 
   /** Group the elements by key, a stable counting sort: the indices of the
     * elements with a key in `0 until nKeys`, ascending within a key; an
-    * element whose key is -1 is dropped.
+    * element whose key is outside `0 until nKeys` is dropped.
     *
     * @return the grouped indices, and the start of every key's run
     *         (`start(k) until start(k + 1)`; length `nKeys + 1`)
@@ -28,7 +28,7 @@ private[repro] object RankSort {
   def group(keys: Array[Int], nKeys: Int): (Array[Int], Array[Int]) = {
     val start = new Array[Int](nKeys + 1)
     var x = 0
-    while (x < keys.length) { if (keys(x) >= 0) start(keys(x) + 1) += 1; x += 1 }
+    while (x < keys.length) { if (keys(x) >= 0 && keys(x) < nKeys) start(keys(x) + 1) += 1; x += 1 }
     var k = 0
     while (k < nKeys) { start(k + 1) += start(k); k += 1 }
     val next = Arrays.copyOf(start, nKeys)
@@ -36,7 +36,7 @@ private[repro] object RankSort {
     x = 0
     while (x < keys.length) {
       val key = keys(x)
-      if (key >= 0) { out(next(key)) = x; next(key) += 1 }
+      if (key >= 0 && key < nKeys) { out(next(key)) = x; next(key) += 1 }
       x += 1
     }
     (out, start)

@@ -8,23 +8,26 @@ import repro.core.{Comparison, ProfileCollection}
   *
   * The data-parallel part — blocking, graph weighting, global ordering — runs
   * as DataFrame jobs across partitions; the inherently sequential emission is
-  * a `toLocalIterator` over the globally sorted comparisons, so the driver
-  * starts consuming the best comparisons while later partitions may still be
-  * materializing (partition-at-a-time fetch).
+  * a `toLocalIterator` over the globally sorted comparisons, fetched a
+  * partition at a time (for GS-PSN while later partitions may still be
+  * materializing; PBS's are filled first).
   */
 object SparkProgressive {
 
   /** End-to-end distributed PBS: Token Blocking Workflow (the paper's 10 %
     * purging and 80 % filtering) → ARCS Blocking Graph → global
     * (lecobi, −weight) sort. Returns the ordered comparisons DataFrame
-    * (columns i, j, weight, lecobi); the filtered index it reads stays
-    * persisted, since the stream reads it lazily.
+    * (columns i, j, weight, lecobi), persisted and filled: the one DataFrame
+    * left cached, which the caller unpersists when done.
     */
   def pbs(spark: SparkSession, pc: ProfileCollection): DataFrame = {
     val cc = SparkEr.isCleanClean(pc)
     val index = SparkEr.tokenIndex(SparkEr.profilesDF(spark, pc))
     val (filtered, ordered) = SparkTokenBlocking.workflow(index, pc.size.toLong, cc)
-    SparkBlockingGraph.pbsOrder(SparkBlockingGraph.arcsEdges(filtered, ordered, cc))
+    val comparisons = SparkBlockingGraph.pbsOrder(SparkBlockingGraph.arcsEdges(filtered, ordered, cc)).persist()
+    comparisons.count() // filled while `filtered` is cached, so it is not computed again
+    filtered.unpersist()
+    comparisons
   }
 
   /** End-to-end distributed GS-PSN: distributed Neighbor List → RCF weights

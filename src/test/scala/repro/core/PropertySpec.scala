@@ -110,17 +110,16 @@ class PropertySpec extends SparkSpec {
     weights <- Gen.listOfN(pairs.size, Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, 0.5, 1.0))
   } yield pairs.distinct.zip(weights).map { case ((i, j), w) => Comparison(i, j, w) }.toVector
 
-  /** The Comparison List of the weighted pairs `cs`, cut into `parts`
-    * contiguous window-scan parts of about equal size. Each part is
-    * shuffled and grouped with spare capacity past its comparisons, as the
-    * window scan leaves it; pairs must be distinct.
+  /** The Comparison List of the weighted pairs `cs`, shuffled and grouped
+    * by the sort-based rank of their negated weights, so every run is
+    * unsorted; pairs must be distinct.
     */
-  private def listOf(cs: Seq[Comparison], parts: Int = 1): ComparisonList =
-    new ComparisonList((0 until parts).map { q =>
-      val slice = new scala.util.Random(q).shuffle(cs.slice(cs.size * q / parts, cs.size * (q + 1) / parts))
-      ComparisonList.part(slice.map(c => c.i.toLong << 32 | c.j).toArray ++ Array(-1L, -1L),
-        slice.map(c => -c.weight).toArray ++ Array(Double.NaN, -2.0), slice.size)
-    })
+  private def listOf(cs: Seq[Comparison]): ComparisonList = {
+    val shuffled = new scala.util.Random(cs.size).shuffle(cs)
+    val (ranks, distinct) = BoxedReference.rank(shuffled.map(c => -c.weight).toArray, cs.size)
+    val grouped = shuffled.indices.sortBy(ranks(_)).map(t => shuffled(t).i.toLong << 32 | shuffled(t).j)
+    new ComparisonList(grouped.toArray, (0 to distinct.length).map(r => ranks.count(_ < r)).toArray, distinct)
+  }
 
   test("the Comparison List sorts by descending weight in raw bits, signed zeros and NaN included") {
     for (cs <- samples(weightedPairsGen, 200))
@@ -153,20 +152,22 @@ class PropertySpec extends SparkSpec {
     }
   }
 
-  test("RankSort.group equals the stable sort of the keyed indices, -1 dropped") {
+  test("RankSort.group is the stable sort of the indices keyed in 0 until nKeys") {
     val gen = for {
       nKeys <- Gen.choose(0, 6)
-      keys  <- Gen.listOf(Gen.choose(-1, nKeys - 1))
+      keys  <- Gen.listOf(Gen.choose(-1, nKeys + 1))
     } yield (keys.toArray, nKeys)
-    // empty input, no keys, every key -1, a single key
+    // empty input, no keys, every key dropped, a single key, keys past nKeys
     val edges = Seq(
       (Array.empty[Int], 0), (Array.empty[Int], 3), (Array(-1, -1), 0), (Array(-1, -1, -1), 2),
-      (Array(0), 1), (Array(0, 0, 0), 1), (Array(-1, 0, -1, 0), 1))
+      (Array(0), 1), (Array(0, 0, 0), 1), (Array(-1, 0, -1, 0), 1), (Array(0, 1, 2), 0), (Array(2, 0, 5, 1, 0), 2),
+      (Array(Int.MaxValue, 0, Int.MinValue), 1))
     for ((keys, nKeys) <- samples(gen, 300) ++ edges) {
       val (grouped, start) = RankSort.group(keys, nKeys)
       val clue = (keys.toSeq, nKeys)
-      assert(grouped.toSeq === keys.indices.filter(keys(_) >= 0).sortBy(keys(_)), clue)
-      assert(start.toSeq === (0 to nKeys).map(k => keys.count(key => key >= 0 && key < k)), clue)
+      val kept = keys.indices.filter(x => keys(x) >= 0 && keys(x) < nKeys)
+      assert(grouped.toSeq === kept.sortBy(keys(_)), clue)
+      assert(start.toSeq === (0 to nKeys).map(k => kept.count(keys(_) < k)), clue)
     }
   }
 
@@ -207,15 +208,15 @@ class PropertySpec extends SparkSpec {
     val allDistinct = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, k * 0.37))
     val oneWeight = (0 until 300).map(k => Comparison(k / 20, 20 + k % 20, 0.5))
     val manyRuns = (0 until 3000).map(k => Comparison(k / 60, 60 + k % 60, ((k * 7919) % 13) / 4.0))
-    // equal weights, signed zeros and NaN on both sides of every border of a cut into 2, 3 or 7 parts
-    val borders = (0 until 12).map(k => Comparison(k, 12 + k, Seq(0.0, -0.0, Double.NaN, 0.5)(k % 4)))
-    val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns, borders)
-    for (cs <- inputs; parts <- Seq(1, 2, 3, 7, cs.size + 1)) {
+    // equal weights, signed zeros and NaN next to each other
+    val neighbours = (0 until 12).map(k => Comparison(k, 12 + k, Seq(0.0, -0.0, Double.NaN, 0.5)(k % 4)))
+    val inputs = samples(weightedPairsGen, 60) ++ Seq(Vector.empty, oneWeight, allDistinct, manyRuns, neighbours)
+    for (cs <- inputs) {
       val expected = exact(cs.sorted(BoxedReference.byDescendingWeight))
-      val list = listOf(cs, parts)
+      val list = listOf(cs)
       assert(list.size === cs.size)
       for ((how, read) <- everyReading(list))
-        assert(exact(read) === expected, s"$how, n=${cs.size}, parts=$parts")
+        assert(exact(read) === expected, s"$how, n=${cs.size}")
     }
   }
 
@@ -290,6 +291,34 @@ class PropertySpec extends SparkSpec {
       }
     }
     assert(straddles > 0)
+  }
+
+  test("every band stores exactly the reference pairs between the last band's border and its own") {
+    for (pc <- blockingCollections ++ tiedCollections) {
+      val nl = NeighborList.build(pc)
+      val view = WindowScan.PartnerView(pc, nl)
+      val ids = pc.source1Ids.toArray
+      for (wMax <- Seq(1, 5, nl.size).filter(_ >= 1).distinct) {
+        val reference = referenceScan(pc, nl, 1, wMax)
+        for (keep <- Seq(1, 2, 3, pc.size).filter(_ >= 1).distinct;
+             ranges <- Seq(1, 2, 3, 7, ids.length).filter(_ >= 1).distinct) {
+          val scan = new WindowScan(pc, nl, view, 1, wMax, ids,
+            ForkJoin.cut(ids.length, ranges)(x => nl.positionsOf(ids(x)).length.toLong))
+          var (after, b, read) = (Double.NegativeInfinity, keep, 0)
+          while (after != Double.PositiveInfinity) {
+            val (band, last) = scan.band(after, b)
+            val clue = s"${pc.erType} |P|=${pc.size} wMax=$wMax B=$keep ranges=$ranges band ($after, $last]"
+            val expected = reference.filter(c => -c.weight > after && -c.weight <= last)
+            assert(exact(band) === exact(expected), clue)
+            assert(band.size === band.iterator.size, clue)
+            read += band.size
+            after = last
+            b = math.min(Int.MaxValue.toLong, 2L * b).toInt
+          }
+          assert(read === reference.size)
+        }
+      }
+    }
   }
 
   test("GS-PSN lists equal the reference scan, wMax up to and beyond |NL|") {

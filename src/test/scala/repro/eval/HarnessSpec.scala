@@ -56,6 +56,16 @@ class HarnessSpec extends SparkSpec {
     assert(t.emitted <= 2 * PaperExample.gt.size)
   }
 
+  test("timed emits nothing when the budget is zero: an empty ground truth") {
+    val empty = fixture.copy(gt = GroundTruth(Set.empty))
+    for (method <- Seq("SA-PSN", "GS-PSN", "PBS")) {
+      val t = Harness.timed(() => Experiments.method(empty, method), empty, MatchFunctions.JaccardFn)
+      assert(t.emitted === 0, method)
+      assert(t.comparisonMicros === 0.0, method)
+      assert(t.initMillis >= 0.0, method)
+    }
+  }
+
   test("meanAucStar averages per method across datasets") {
     val r1 = MethodResult("M", "d1", Array(1.0), 1)
     val r2 = MethodResult("M", "d2", Array(0.0), 1)

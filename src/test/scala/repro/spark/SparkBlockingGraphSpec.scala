@@ -14,6 +14,11 @@ class SparkBlockingGraphSpec extends SparkSpec {
 
   private lazy val edges = SparkBlockingGraph.arcsEdges(filtered, ordered, cleanClean = false)
 
+  override def afterAll(): Unit = {
+    filtered.unpersist(blocking = true)
+    super.afterAll()
+  }
+
   test("distributed ARCS edges equal the local Blocking Graph") {
     val local = Reference
       .edges(PaperExample.pc, ProfileIndex.build(TokenBlocking.build(PaperExample.pc)))
@@ -79,6 +84,7 @@ class SparkBlockingGraphSpec extends SparkSpec {
     val idx = SparkEr.tokenIndex(SparkEr.profilesDF(spark, cc))
     val (f, o) = SparkTokenBlocking.workflow(idx, 3L, cleanClean = true, 1.0, 1.0)
     val es = SparkBlockingGraph.arcsEdges(f, o, cleanClean = true).collect()
+    f.unpersist(blocking = true)
     assert(es.map(r => (r.getInt(0), r.getInt(1))).toSet === Set((0, 2), (1, 2)))
   }
 }

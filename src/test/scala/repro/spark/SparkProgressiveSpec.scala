@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.blocking.TokenBlockingWorkflow
 import repro.core._
@@ -10,6 +11,14 @@ class SparkProgressiveSpec extends SparkSpec {
 
   private def driverPbs(pc: ProfileCollection): Iterator[Comparison] =
     new PBS(pc, TokenBlockingWorkflow.profileIndex(pc)).emissions
+
+  /** `read` applied to the distributed PBS frame of `pc`, which is then
+    * unpersisted.
+    */
+  private def withPbs[T](pc: ProfileCollection)(read: DataFrame => T): T = {
+    val ordered = SparkProgressive.pbs(spark, pc)
+    try read(ordered) finally ordered.unpersist(blocking = true)
+  }
 
   private def driverGsPsn(pc: ProfileCollection, wMax: Int): Iterator[Comparison] =
     new GSPSN(pc, NeighborList.build(pc), wMax).emissions
@@ -26,8 +35,7 @@ class SparkProgressiveSpec extends SparkSpec {
 
   test("end-to-end distributed PBS equals the driver-side PBS on census") {
     val ds = StructuredData.census()
-    val orderedDf = SparkProgressive.pbs(spark, ds.pc)
-    val sparkPairs = SparkProgressive.emissions(orderedDf).map(_.pair).toVector
+    val sparkPairs = withPbs(ds.pc)(SparkProgressive.emissions(_).map(_.pair).toVector)
     val local = new PBS(ds.pc, TokenBlockingWorkflow.profileIndex(ds.pc))
     val localPairs = local.emissions.map(_.pair).toVector
     assert(sparkPairs.toSet === localPairs.toSet)
@@ -36,8 +44,7 @@ class SparkProgressiveSpec extends SparkSpec {
 
   test("distributed PBS recall progressiveness tracks the local one") {
     val ds = StructuredData.census()
-    val sparkCurve = Metrics.recallCurve(
-      SparkProgressive.emissions(SparkProgressive.pbs(spark, ds.pc)), ds.gt, 3 * ds.gt.size)
+    val sparkCurve = withPbs(ds.pc)(df => Metrics.recallCurve(SparkProgressive.emissions(df), ds.gt, 3 * ds.gt.size))
     val localCurve = Metrics.recallCurve(
       new PBS(ds.pc, TokenBlockingWorkflow.profileIndex(ds.pc)).emissions, ds.gt, 3 * ds.gt.size)
     // identical pair sets per block ⇒ nearly identical curves; allow a small
@@ -67,8 +74,7 @@ class SparkProgressiveSpec extends SparkSpec {
 
   test("distributed PBS on a Clean-clean dataset emits cross-source pairs only") {
     val ds = repro.data.HeterogeneousData.movies(0.005)
-    val it = SparkProgressive.emissions(SparkProgressive.pbs(spark, ds.pc))
-    it.take(500).foreach(c => assert(ds.pc.source(c.i) != ds.pc.source(c.j)))
+    withPbs(ds.pc)(SparkProgressive.emissions(_).take(500).foreach(c => assert(ds.pc.source(c.i) != ds.pc.source(c.j))))
   }
 
   /** |P| = 0 and |P| = 1 for both ER types, profiles without a token, and a
@@ -90,7 +96,16 @@ class SparkProgressiveSpec extends SparkSpec {
   test("distributed PBS emits the driver's PBS stream, weights bit for bit, degenerate collections included") {
     val cases = Seq("census" -> StructuredData.census().pc, "movies" -> HeterogeneousData.movies(0.005).pc) ++ degenerate
     for ((name, pc) <- cases)
-      assertSameStream(SparkProgressive.emissions(SparkProgressive.pbs(spark, pc)), driverPbs(pc), name)
+      withPbs(pc)(df => assertSameStream(SparkProgressive.emissions(df), driverPbs(pc), name))
+  }
+
+  test("distributed PBS leaves nothing cached once the caller unpersists its frame") {
+    val sc = spark.sparkContext
+    for ((name, pc) <- ("census" -> StructuredData.census().pc) +: degenerate) {
+      val cached = sc.getPersistentRDDs.keySet
+      assert(withPbs(pc)(SparkProgressive.emissions(_).size) === driverPbs(pc).size, name)
+      assert(sc.getPersistentRDDs.keySet === cached, name)
+    }
   }
 
   test("distributed GS-PSN emits the driver's GS-PSN stream, weights bit for bit, degenerate collections included") {

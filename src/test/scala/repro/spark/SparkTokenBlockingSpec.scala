@@ -100,20 +100,22 @@ class SparkTokenBlockingSpec extends SparkSpec {
   }
 
   test("workflow block ids follow non-decreasing cardinality") {
-    val (_, ordered) = SparkTokenBlocking.workflow(
+    val (filtered, ordered) = SparkTokenBlocking.workflow(
       index, PaperExample.pc.size.toLong, cleanClean = false,
       purgeFraction = 1.0, filterRatio = 1.0)
     val rows = ordered.orderBy("block_id")
       .select("token", "cardinality", "block_id").collect()
+    filtered.unpersist(blocking = true)
     val cards = rows.map(_.getAs[Number]("cardinality").doubleValue())
     assert(cards.zip(cards.tail).forall { case (a, b) => a <= b })
     assert(rows.map(_.getString(0)).toSeq ===
       Seq("baker", "brown", "carl", "ellen", "smith", "tailor", "white"))
     // the block at block_id k is block k of the driver's Profile Index
     def assertDriverOrder(pc: ProfileCollection, index: DataFrame, purgeFraction: Double, filterRatio: Double): Unit = {
-      val (_, ordered) = SparkTokenBlocking.workflow(
+      val (filtered, ordered) = SparkTokenBlocking.workflow(
         index, pc.size.toLong, SparkEr.isCleanClean(pc), purgeFraction, filterRatio)
       val rows = ordered.orderBy("block_id").select("token", "cardinality", "block_id").collect()
+      filtered.unpersist(blocking = true)
       val pi = TokenBlockingWorkflow.profileIndex(pc, purgeFraction, filterRatio)
       val clue = s"${pc.erType} |P|=${pc.size}"
       assert(rows.map(_.getLong(2)).toSeq === rows.indices.map(_.toLong), clue)
